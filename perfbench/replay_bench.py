@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 import os
 import resource
+import statistics
 import subprocess
 import sys
 import time
@@ -26,12 +27,15 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 from common import (  # noqa: E402
-    CALIBRATION_REFERENCE_S, OUT, calibrate, check_checkout, child_env, digest, median,
-    tail_percentile,
+    CALIBRATION_REFERENCE_S, LATENCY_TAIL, OUT, calibrate, check_checkout, child_env, digest,
+    median,
 )
 import workloads  # noqa: E402
 
 WORKER_TIMEOUT = 170.0
+#: rounds a run measures at the least, so that its tail percentile is
+#: taken over enough samples even with a short ``--seconds``.
+MIN_ROUNDS = 10
 
 
 def recording(workload: workloads.ReplayWorkload, seed: int):
@@ -81,13 +85,16 @@ def worker(name: str, seed: int, seconds: float, trace: bool) -> dict:
         tracer.reset()
     rounds = []
     deadline = time.perf_counter() + seconds
-    calibration = []
-    while not rounds or time.perf_counter() < deadline:
-        calibration.append(calibrate())
+    # The calibration loop runs before a round and after each query; a
+    # query's times are scaled by the mean of the two around it.
+    calibration = [calibrate()]
+    while len(rounds) < MIN_ROUNDS or time.perf_counter() < deadline:
         samples = []
         for sql in queries:
             setup_s, run_s, cpu_s, changes = _replay_once(streams, workload.config, sql)
-            samples.append([setup_s, run_s, cpu_s, digest(changes)])
+            calibration.append(calibrate())
+            speed = (calibration[-2] + calibration[-1]) / 2
+            samples.append([setup_s, run_s, cpu_s, digest(changes), speed])
         rounds.append(samples)
     # VmHWM, not ru_maxrss: the latter starts from the spawning process's
     # peak, which is the driver's.
@@ -156,15 +163,21 @@ def run(workload: workloads.ReplayWorkload, seed: int, seconds: float, trace: bo
     events = report["events"]
     n_queries = len(workload.queries)
     per_round = events * n_queries
-    # Each round's times scaled to the reference CPU speed (see
+    # Each query's times scaled to the reference CPU speed (see
     # common.calibrate); a round is one latency sample: first event in to
     # every query's complete changelog out.
-    calibration = report["calibration"]
-    scale = [CALIBRATION_REFERENCE_S / c for c in calibration]
-    round_s = [sum(s[1] for s in r) * k for r, k in zip(rounds, scale)]
-    cpu_s = sum(sum(s[2] for s in r) * k for r, k in zip(rounds, scale))
+    def scaled(field: int) -> list[float]:
+        return [
+            sum(s[field] * CALIBRATION_REFERENCE_S / s[4] for s in r) for r in rounds
+        ]
+
+    round_s = scaled(1)
+    cpu_s = sum(scaled(2))
     latencies = [t * 1000.0 for t in round_s]
-    tail_pct, tail = tail_percentile(latencies)
+    # Interpolated, so the figure moves smoothly with the number of rounds
+    # a run holds.
+    tail = statistics.quantiles(latencies, n=100, method="inclusive")[LATENCY_TAIL - 1]
+    calibration = report["calibration"]
     processed = per_round * len(rounds)
     raw_s = sum(s[1] for r in rounds for s in r)
     result = {
@@ -174,8 +187,8 @@ def run(workload: workloads.ReplayWorkload, seed: int, seconds: float, trace: bo
         "metrics": {
             "events_per_s": processed / sum(round_s),
             "delta_p50_ms": median(latencies),
-            "delta_p99_ms": tail,
-            "setup_s": median([sum(s[0] for s in r) for r in rounds]),
+            "delta_p95_ms": tail,
+            "setup_s": median(scaled(0)),
             "peak_rss_mb": report["peak_rss_mb"],
             "cpu_ms_per_kevent": cpu_s * 1e6 / processed,
         },
@@ -188,10 +201,11 @@ def run(workload: workloads.ReplayWorkload, seed: int, seconds: float, trace: bo
             "unscaled": {
                 "events_per_s": processed / raw_s,
                 "delta_p50_ms": median([sum(s[1] for s in r) for r in rounds]) * 1000.0,
+                "setup_s": median([sum(s[0] for s in r) for r in rounds]),
                 "cpu_ms_per_kevent": sum(s[2] for r in rounds for s in r) * 1e6 / processed,
             },
             "latency_samples": len(latencies),
-            "latency_tail_percentile": tail_pct,
+            "latency_tail_percentile": LATENCY_TAIL,
             "reference": workload.reference,
             "driver.send_lag_ms": 0.0,
             "driver.busy_frac": 0.0,

@@ -2,7 +2,7 @@
 
     --workload NAME|all   one workload of workloads.WORKLOADS, or all (default)
     --seed N              input seed (default 1)
-    --seconds S           measured seconds per run (default 15)
+    --seconds S           measured seconds per run (default 20)
     --trace 0|1           0: end-to-end metrics, untraced; 1: per-layer
                           metrics from a traced run
 
@@ -17,12 +17,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+import time
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
-from common import END_TO_END, PER_LAYER, check_checkout, run_metadata  # noqa: E402
+from common import END_TO_END, PER_LAYER, check_checkout, run_metadata, steal_s  # noqa: E402
 
 #: traced runs must attribute this share of their wall time, give or take.
 COVERAGE_TOLERANCE = 0.10
@@ -35,8 +37,14 @@ def run_workload(name: str, seed: int, seconds: float, trace: bool) -> dict:
 
     workload = workloads.WORKLOADS[name]
     bench = serve_bench if workload.kind == "serve" else replay_bench
+    steal0, wall0 = steal_s(), time.perf_counter()
     result = bench.run(workload, seed, seconds, trace)
-    result["meta"] = {"workload": name, **run_metadata(seed), **result["meta"]}
+    # Share of the CPUs' time the host took away during the run: runs
+    # with much of it read slower and with a longer latency tail.
+    steal = (steal_s() - steal0) / ((time.perf_counter() - wall0) * (os.cpu_count() or 1))
+    result["meta"] = {
+        "workload": name, **run_metadata(seed), **result["meta"], "host.steal_frac": steal,
+    }
     if trace:
         coverage = result["per_layer"]["trace.coverage"]
         result["meta"]["coverage_ok"] = abs(coverage - 1.0) <= COVERAGE_TOLERANCE
@@ -70,7 +78,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--workload", default="all")
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--seconds", type=float, default=15.0)
+    parser.add_argument("--seconds", type=float, default=20.0)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = parser.parse_args(argv)
     check_checkout()

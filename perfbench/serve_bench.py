@@ -8,9 +8,9 @@ which all subscribers' deltas arrive, multiplexed.
 A run has two parts:
 
 1. **Set-up**, repeated :data:`SETUPS` times, each on a freshly spawned
-   server: spawn, submit every query, subscribe every subscriber.  The
-   last server is kept; the others are stopped.  ``setup_s`` is the
-   median.
+   server pinned to one CPU: spawn, submit every query, subscribe every
+   subscriber.  The last server is kept; the others are stopped.
+   ``setup_s`` is the median, each scaled to the reference CPU speed.
 2. :data:`BLOCKS` pairs of phases, half of ``--seconds`` each in total:
 
    * **open loop**: feed lines are sent on a fixed schedule at the
@@ -24,7 +24,7 @@ A run has two parts:
 
    Both are cut into :data:`SEGMENT`-long segments.  Throughput comes
    from the calmest segment of each saturation phase, latency from the
-   calmest open-loop segments (a quarter, or more for a p99), all scaled
+   calmest open-loop segments (lowest p95), all scaled
    to a reference CPU speed (``common.calibrate``, timed on the server's
    CPU around each phase): the 2-vCPU VMs this benchmark is tuned on slow
    each vCPU down for seconds at a time.
@@ -52,6 +52,7 @@ from common import (
     CALIBRATION_REFERENCE_S,
     CALM_MIN_SAMPLES,
     CALM_SHARE,
+    LATENCY_TAIL,
     MAX_BUSY_FRAC,
     MAX_SEND_LAG_MS,
     OUT,
@@ -64,7 +65,7 @@ import oracle
 from workloads import ServeWorkload, sql_of
 
 #: servers spawned per run to measure set-up; the last one is measured.
-SETUPS = 5
+SETUPS = 7
 #: lines per write in the saturation phase.
 SATURATION_CHUNK = 64
 #: events a saturation block keeps in flight: enough that the pump never
@@ -122,7 +123,7 @@ class Server:
     """One spawned server process and its two ports."""
 
     def __init__(self, workload: ServeWorkload, workdir: Path, schema_path: Path,
-                 dump: Optional[Path]):
+                 dump: Optional[Path], cpu: Optional[int]):
         self.control_port, self.feed_port = _free_ports(2)
         args = [
             "serve",
@@ -141,6 +142,8 @@ class Server:
         self.proc = subprocess.Popen(
             cmd, stdout=self.log, stderr=subprocess.STDOUT, env=child_env(), cwd=workdir
         )
+        if cpu is not None:
+            os.sched_setaffinity(self.proc.pid, {cpu})
 
     def connect(self, port: int, sndbuf: Optional[int] = None) -> socket.socket:
         deadline = time.monotonic() + TIMEOUT
@@ -281,8 +284,9 @@ def _scrape(exposition: str, family: str) -> int:
 
 
 def _setup(workload: ServeWorkload, workdir: Path, schema_path: Path,
-           dump: Optional[Path]) -> tuple[Server, Control, float, dict]:
-    """Spawn a server, submit and subscribe; returns the set-up time.
+           dump: Optional[Path], cpu: Optional[int]) -> tuple[Server, Control, float, dict]:
+    """Spawn a server pinned to ``cpu``, submit and subscribe; returns the
+    set-up time.
 
     A server that exits before accepting connections (a port taken
     between choosing it and binding it) is spawned again, twice at most.
@@ -290,7 +294,7 @@ def _setup(workload: ServeWorkload, workdir: Path, schema_path: Path,
     for attempt in range(3):
         counts = {"submits": 0, "subscribes": 0, "rejected": 0}
         started = time.perf_counter()
-        server = Server(workload, workdir, schema_path, dump)
+        server = Server(workload, workdir, schema_path, dump, cpu)
         control = None
         try:
             control = Control(server.connect(server.control_port))
@@ -482,13 +486,14 @@ def _boundary(ptimes: list[int], index: int) -> int:
 def _calm_latencies(by_segment: dict[tuple[int, int], list[float]],
                     on_time: list[tuple[int, int]], slowdown: list[float]) -> list[float]:
     """Latency samples of the calmest open-loop segments (lowest tail),
-    scaled by their phase's slowdown: a quarter of the segments, widened
-    until they hold enough samples for a p99, leaving out segments in
-    which the driver itself sent late while enough others remain."""
+    scaled by their phase's slowdown: :data:`CALM_SHARE` of the segments,
+    widened until they hold enough samples for the tail percentile,
+    leaving out segments in which the driver itself sent late while
+    enough others remain."""
     keep = max(1, math.ceil(len(by_segment) * CALM_SHARE))
     chosen = on_time if len(on_time) >= keep else list(by_segment)
     scaled = [[x / slowdown[2 * seg[0]] for x in by_segment[seg]] for seg in chosen]
-    scaled.sort(key=lambda samples: tail_percentile(samples)[1])
+    scaled.sort(key=lambda samples: tail_percentile(samples, LATENCY_TAIL)[1])
     out: list[float] = []
     for index, samples in enumerate(scaled):
         if index >= keep and len(out) >= CALM_MIN_SAMPLES:
@@ -525,6 +530,8 @@ def run(workload: ServeWorkload, seed: int, seconds: float, trace: bool) -> dict
     dump = workdir / "spans.json" if trace else None
 
     setup_times = []
+    #: the same, scaled by a calibration on the server's CPU just before.
+    setup_scaled = []
     setup_counts = {"submits": 0, "subscribes": 0, "rejected": 0}
     server = control = None
     phase = seconds / (2 * BLOCKS)
@@ -553,15 +560,17 @@ def run(workload: ServeWorkload, seed: int, seconds: float, trace: bool) -> dict
     try:
         realtime = _realtime()
         for attempt in range(SETUPS):
-            server, control, elapsed, counts = _setup(workload, workdir, schema_path, dump)
+            speed = _calibrate_on(server_cpu)
+            server, control, elapsed, counts = _setup(
+                workload, workdir, schema_path, dump, server_cpu
+            )
             setup_times.append(elapsed)
+            setup_scaled.append(elapsed * CALIBRATION_REFERENCE_S / speed)
             for key in setup_counts:
                 setup_counts[key] += counts[key]
             if attempt < SETUPS - 1:
                 control.close()
                 server.stop()
-        if server_cpu is not None:
-            os.sched_setaffinity(server.proc.pid, {server_cpu})
         feed = server.connect(server.feed_port, sndbuf=FEED_SNDBUF)
         scraper = _Scraper(control) if trace else None
         if scraper is not None:
@@ -644,7 +653,9 @@ def run(workload: ServeWorkload, seed: int, seconds: float, trace: bool) -> dict
     latencies = [x for samples in by_segment.values() for x in samples]
     on_time = [seg for seg in by_segment if late[seg] <= ON_TIME_S]
     calm_latencies = _calm_latencies(by_segment, on_time, slowdown)
-    tail_pct, p_tail = tail_percentile(calm_latencies) if calm_latencies else (0.0, 0.0)
+    tail_pct, p_tail = (
+        tail_percentile(calm_latencies, LATENCY_TAIL) if calm_latencies else (0.0, 0.0)
+    )
     calm_s, calm_events, calm_cpu = _calm_throughput(segments, slowdown)
     segments = [seg for block in segments for seg in block]
     lag_pct, lag_tail = tail_percentile(lags)
@@ -664,8 +675,8 @@ def run(workload: ServeWorkload, seed: int, seconds: float, trace: bool) -> dict
         "metrics": {
             "events_per_s": events_per_s,
             "delta_p50_ms": median(calm_latencies) if calm_latencies else 0.0,
-            "delta_p99_ms": p_tail,
-            "setup_s": median(setup_times),
+            "delta_p95_ms": p_tail,
+            "setup_s": median(setup_scaled),
             "peak_rss_mb": peak_rss,
             "cpu_ms_per_kevent": calm_cpu * 1e6 / calm_events if calm_events else 0.0,
         },
@@ -682,7 +693,9 @@ def run(workload: ServeWorkload, seed: int, seconds: float, trace: bool) -> dict
             "unscaled_whole_run": {
                 "events_per_s": sum(seg[1] for seg in segments) / sum(seg[0] for seg in segments),
                 "delta_p50_ms": median(latencies) if latencies else 0.0,
-                "delta_p99_ms": tail_percentile(latencies)[1] if latencies else 0.0,
+                "delta_p95_ms": (
+                    tail_percentile(latencies, LATENCY_TAIL)[1] if latencies else 0.0
+                ),
                 "cpu_ms_per_kevent": cpu_s * 1e6 / sent,
             },
             "latency_samples": len(calm_latencies),

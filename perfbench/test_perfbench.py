@@ -134,6 +134,8 @@ def test_tail_percentile():
     assert common.tail_percentile(list(range(2000))) == (99.0, 1979)
     assert common.tail_percentile(list(range(100))) == (90.0, 89)
     assert common.tail_percentile([3.0, 1.0, 2.0]) == (100.0, 3.0)
+    assert common.tail_percentile(list(range(200)), 95) == (95.0, 189)
+    assert common.tail_percentile(list(range(100)), 95) == (90.0, 89)
 
 
 def test_self_time_subtracts_the_union_of_children():
