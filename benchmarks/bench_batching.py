@@ -1,10 +1,12 @@
 """Micro-batching benchmark: columnar throughput sweep and compaction.
 
-Sweeps ``batch_size`` x ``columnar`` x ``coalesce_updates`` over four
+Sweeps ``batch_size`` x ``coalesce_updates`` over four
 NEXMark-shaped workloads on a *bursty* generated stream
 (``events_per_instant=64``, so same-instant runs actually exist for the
 scheduler to batch) and writes ``BENCH_batching.json`` — the artifact
-CI uploads:
+CI uploads.  Every ``batch_size > 1`` run is columnar (per-column
+batches, fused generated filter/project loops); ``batch_size=1`` is the
+per-change row baseline.  The workloads:
 
 * **tumble** — tumbling-window MAX grouped by window end: one running
   extreme per window, the shape where columnar batches amortize best.
@@ -20,10 +22,10 @@ CI uploads:
   it benchmarks the fallback path and proves it stays correct.
 
 Every default-mode run (``coalesce_updates=False``) — serial or
-sharded, columnar on or off, codegen on or off, two-phase or
-single-phase, plan-shared or not — is asserted change-for-change
-identical to the ``batch_size=1`` row-at-a-time baseline: the batching
-invariant of ``docs/RUNTIME.md`` sections 7 and 9.  Coalesced runs are
+sharded, at any batch size, two-phase or single-phase, plan-shared or
+not — is asserted change-for-change identical to the ``batch_size=1``
+per-change baseline: the batching invariant of ``docs/RUNTIME.md``
+sections 7 and 9.  Coalesced runs are
 asserted snapshot-equivalent at every distinct processing instant,
 with the churn they removed reported as ``changes_coalesced``.
 
@@ -52,7 +54,6 @@ import time
 from pathlib import Path
 
 from repro import ExecutionConfig, StreamEngine
-from repro.exec import codegen
 from repro.nexmark import NexmarkConfig, generate
 from repro.nexmark.queries import Q3_LOCAL_ITEM_SUGGESTION, q7_highest_bid
 from repro.service import StandingQueryService
@@ -66,7 +67,7 @@ SEED = 42
 BATCH_SWEEP = [1, 16, 64, 256, 0]
 PER_INSTANT_BATCH = 1 << 30
 
-#: the headline gate: columnar batch=64 vs row-at-a-time batch=1.
+#: the headline gate: columnar batch=64 vs per-change batch=1.
 GATE_BATCH = 64
 GATE_SPEEDUP = 5.0
 GATE_RETRIES = 2
@@ -97,7 +98,7 @@ WORKLOADS = {
 }
 
 ARTIFACT = Path(__file__).resolve().parents[1] / "BENCH_batching.json"
-SCHEMA_VERSION = 4
+SCHEMA_VERSION = 5
 
 
 def _streams():
@@ -117,28 +118,13 @@ def _engine(streams, **config) -> StreamEngine:
     return engine
 
 
-def _run(
-    streams,
-    sql: str,
-    batch_size: int,
-    coalesce: bool,
-    columnar: str = "off",
-    use_codegen: bool = True,
-) -> tuple:
+def _run(streams, sql: str, batch_size: int, coalesce: bool) -> tuple:
     """One serial configuration; returns (record, RunResult)."""
     effective = batch_size if batch_size >= 1 else PER_INSTANT_BATCH
     engine = _engine(
-        streams,
-        batch_size=effective,
-        coalesce_updates=coalesce,
-        columnar=columnar,
+        streams, batch_size=effective, coalesce_updates=coalesce
     )
-    was_enabled = codegen.ENABLED
-    codegen.ENABLED = use_codegen
-    try:
-        flow = engine.query(sql).dataflow()
-    finally:
-        codegen.ENABLED = was_enabled
+    flow = engine.query(sql).dataflow()
     start = time.perf_counter()
     result = flow.run()
     elapsed = time.perf_counter() - start
@@ -146,8 +132,6 @@ def _run(
     record = {
         "batch_size": batch_size or "per-instant",
         "coalesce_updates": coalesce,
-        "columnar": columnar,
-        "codegen": use_codegen,
         "backend": "serial",
         "seconds": elapsed,
         "events_per_second": NUM_EVENTS / elapsed,
@@ -159,16 +143,13 @@ def _run(
     return record, result
 
 
-def _run_sharded(
-    streams, sql: str, batch_size: int, columnar: str, two_phase: str
-) -> tuple:
+def _run_sharded(streams, sql: str, batch_size: int, two_phase: str) -> tuple:
     """Sharded default-mode run (None when the plan is not partitionable)."""
     engine = _engine(
         streams,
         parallelism=4,
         backend="threads",
         batch_size=batch_size,
-        columnar=columnar,
         two_phase=two_phase,
     )
     query = engine.query(sql)
@@ -180,8 +161,6 @@ def _run_sharded(
     record = {
         "batch_size": batch_size,
         "coalesce_updates": False,
-        "columnar": columnar,
-        "codegen": True,
         "backend": "threads(4)",
         "two_phase": two_phase,
         "seconds": elapsed,
@@ -226,11 +205,10 @@ def _mqo_deltas(streams, share_plans: bool, **config) -> list:
 
 
 def _check_mqo(streams) -> dict:
-    """Plan-shared columnar service vs unshared row service: same deltas."""
-    shared = _mqo_deltas(
-        streams, share_plans=True, batch_size=GATE_BATCH, columnar="on"
-    )
-    unshared = _mqo_deltas(streams, share_plans=False, columnar="off")
+    """Plan-shared columnar service vs unshared per-change service: same
+    deltas."""
+    shared = _mqo_deltas(streams, share_plans=True, batch_size=GATE_BATCH)
+    unshared = _mqo_deltas(streams, share_plans=False, batch_size=1)
     assert shared == unshared, "mqo: shared columnar deltas diverged"
     return {
         "workload": "tumble",
@@ -246,35 +224,21 @@ def collect() -> dict:
         baseline = None
         runs = []
         for batch_size in BATCH_SWEEP:
-            modes = [("off", False), ("off", True)]
-            if batch_size != 1:
-                # columnar is a no-op at batch_size=1 (single events
-                # take the row path); sweep it where batches exist.
-                modes.insert(1, ("on", False))
-            for columnar, coalesce in modes:
-                record, result = _run(
-                    streams, sql, batch_size, coalesce, columnar=columnar
-                )
+            for coalesce in (False, True):
+                record, result = _run(streams, sql, batch_size, coalesce)
                 label = (
-                    f"{name} batch={record['batch_size']} "
-                    f"columnar={columnar} coalesce={coalesce}"
+                    f"{name} batch={record['batch_size']} coalesce={coalesce}"
                 )
                 if baseline is None:
-                    baseline = result  # batch=1, columnar=off, no coalesce
+                    baseline = result  # batch=1, no coalesce
                 elif not coalesce:
                     _assert_identical(baseline, result, label)
                 else:
                     _assert_snapshot_equivalent(baseline, result, label)
                 runs.append(record)
-        # codegen-off arm: the interpreted pipeline path must match too.
-        record, result = _run(
-            streams, sql, GATE_BATCH, False, columnar="on", use_codegen=False
-        )
-        _assert_identical(baseline, result, f"{name} codegen=off")
-        runs.append(record)
         for two_phase in ("auto", "on"):
             sharded, sharded_result = _run_sharded(
-                streams, sql, GATE_BATCH, columnar="on", two_phase=two_phase
+                streams, sql, GATE_BATCH, two_phase=two_phase
             )
             if sharded is None:
                 break  # not partitionable; "on" would not be either
@@ -305,25 +269,22 @@ def write_artifact(payload: dict) -> Path:
     return ARTIFACT
 
 
-def _find(workload: dict, batch_size, coalesce: bool, columnar: str) -> dict:
+def _find(workload: dict, batch_size, coalesce: bool) -> dict:
     for run in workload["runs"]:
         if (
             run["batch_size"] == batch_size
             and run["coalesce_updates"] is coalesce
-            and run["columnar"] == columnar
             and run["backend"] == "serial"
         ):
             return run
-    raise AssertionError(
-        f"missing run batch={batch_size} coalesce={coalesce} "
-        f"columnar={columnar}"
-    )
+    raise AssertionError(f"missing run batch={batch_size} coalesce={coalesce}")
 
 
 def test_batching_bench_produces_artifact():
     """The bench is also the regression gate: columnar batching must
     actually pay (>= 5x events/s on the tumble workload at batch 64,
-    columnar on, vs the batch=1 row baseline), coalescing must actually
+    columnar by construction, vs the batch=1 per-change baseline),
+    coalescing must actually
     shrink the changelog (>= 30% fewer propagated changes on the churn
     workload), and the artifact must land on disk for CI to upload.
     The change-for-change and snapshot equivalence checks already ran
@@ -334,8 +295,8 @@ def test_batching_bench_produces_artifact():
     tumble = payload["workloads"][0]
     assert tumble["name"] == "tumble"
 
-    serial = _find(tumble, 1, False, "off")
-    batched = _find(tumble, GATE_BATCH, False, "on")
+    serial = _find(tumble, 1, False)
+    batched = _find(tumble, GATE_BATCH, False)
     # The gate pair shares the machine with every other sweep point; on
     # a miss, re-measure both arms (best-of accumulates across
     # attempts) before declaring a regression.
@@ -347,9 +308,7 @@ def test_batching_bench_produces_artifact():
         refreshed_serial, _res = _run(streams, TUMBLE_SQL, 1, False)
         if refreshed_serial["seconds"] < serial["seconds"]:
             serial.update(refreshed_serial)  # in place: artifact sees it
-        refreshed_batched, _res = _run(
-            streams, TUMBLE_SQL, GATE_BATCH, False, columnar="on"
-        )
+        refreshed_batched, _res = _run(streams, TUMBLE_SQL, GATE_BATCH, False)
         if refreshed_batched["seconds"] < batched["seconds"]:
             batched.update(refreshed_batched)
     speedup = batched["events_per_second"] / serial["events_per_second"]
@@ -359,8 +318,8 @@ def test_batching_bench_produces_artifact():
 
     churn = payload["workloads"][1]
     assert churn["name"] == "tumble_churn"
-    churn_serial = _find(churn, 1, False, "off")
-    coalesced = _find(churn, GATE_BATCH, True, "off")
+    churn_serial = _find(churn, 1, False)
+    coalesced = _find(churn, GATE_BATCH, True)
     before = churn_serial["rows_out"] + churn_serial["retracts_out"]
     after = coalesced["rows_out"] + coalesced["retracts_out"]
     reduction = 1 - after / before
@@ -377,12 +336,9 @@ if __name__ == "__main__":
     for workload in data["workloads"]:
         print(f"== {workload['name']}")
         for run in workload["runs"]:
-            extras = "" if run["codegen"] else "  codegen=off"
-            if run.get("two_phase") == "on":
-                extras += "  two_phase=on"
+            extras = "  two_phase=on" if run.get("two_phase") == "on" else ""
             print(
                 f"  batch={run['batch_size']!s:>11} "
-                f"columnar={run['columnar']:<4} "
                 f"coalesce={str(run['coalesce_updates']):<5} "
                 f"({run['backend']:>10}): {run['seconds']:.3f}s  "
                 f"{run['events_per_second']:>9,.0f} ev/s  "

@@ -60,8 +60,9 @@ def _add_config_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--batch-size", type=int, default=None, metavar="N",
-        help="row events delivered per micro-batch; output is "
-             "byte-identical at any value (default 1: per-change)",
+        help="row events delivered per micro-batch, run as columnar "
+             "batches when above 1; output is byte-identical at any "
+             "value (default 1: per-change)",
     )
     parser.add_argument(
         "--coalesce-updates", action="store_true", default=None,
@@ -74,13 +75,6 @@ def _add_config_arguments(parser: argparse.ArgumentParser) -> None:
              "for decomposable aggregates; auto (default) consults the "
              "cost model's counter feedback, on forces the split, off "
              "disables it",
-    )
-    parser.add_argument(
-        "--columnar", choices=("auto", "on", "off"), default=None,
-        help="columnar micro-batch execution with fused filter/project "
-             "pipelines; auto (default) enables it whenever batch size "
-             "exceeds 1, on forces it, off keeps row-at-a-time batches "
-             "(output is byte-identical in every mode)",
     )
     parser.add_argument(
         "--share-plans", action=argparse.BooleanOptionalAction, default=None,
@@ -256,7 +250,6 @@ def build_config(args: argparse.Namespace) -> ExecutionConfig:
         batch_size=args.batch_size,
         coalesce_updates=args.coalesce_updates,
         two_phase=args.two_phase,
-        columnar=args.columnar,
         queue_capacity=getattr(args, "queue_capacity", None),
         subscriber_capacity=getattr(args, "subscriber_capacity", None),
         checkpoint_dir=getattr(args, "checkpoint_dir", None),

@@ -3,11 +3,8 @@
 The standardization retrospective the roadmap leans on (*Lessons
 Learned from Efforts to Standardize Streaming In SQL*) argues that a
 small, stable public configuration surface is what lets query semantics
-survive engine evolution.  Before this module, execution knobs were
-scattered: ``StreamEngine(parallelism=..., backend=..., telemetry=...)``,
-``engine.query(sql, allowed_lateness=...)``, and a parallel set of CLI
-flags.  Now every way of running a query accepts the same frozen
-:class:`ExecutionConfig`::
+survive engine evolution.  Every way of running a query accepts the
+same frozen :class:`ExecutionConfig`::
 
     from repro import ExecutionConfig, StreamEngine
 
@@ -22,10 +19,6 @@ field: every field defaults to ``None`` meaning "inherit from the next
 layer down", and :meth:`ExecutionConfig.resolved` fills whatever is
 still unset from :data:`EXECUTION_DEFAULTS`.  (``python -m repro``
 flags build the engine-layer config.)
-
-The old keyword arguments keep working through shims that emit one
-:class:`DeprecationWarning` per keyword per process; see ``docs/API.md``
-for the deprecation policy.
 """
 
 from __future__ import annotations
@@ -53,7 +46,6 @@ EXECUTION_DEFAULTS: dict[str, Any] = {
     "batch_size": 1,
     "coalesce_updates": False,
     "two_phase": "auto",
-    "columnar": "auto",
     "queue_capacity": 1024,
     "subscriber_capacity": 256,
     "checkpoint_dir": "",
@@ -92,19 +84,14 @@ class ExecutionConfig:
       never span processing-time instants or watermark events, so the
       output changelog is byte-identical to per-change execution at any
       value; larger values only trade latency granularity for throughput.
+      A batching flow also runs its batches columnar — per-column
+      vectors, with adjacent filters/projections fused into one
+      generated loop (see docs/RUNTIME.md).
     * ``coalesce_updates`` — opt-in intra-instant compaction: drop
       insert/retract pairs that cancel within one processing-time
       instant.  Per-instant snapshots are preserved, but the changelog
       row count shrinks, so ``EMIT STREAM`` renderings see fewer rows
       (see docs/API.md).
-    * ``columnar`` — columnar micro-batch execution: ``"auto"`` (the
-      default) runs micro-batches columnar whenever ``batch_size > 1``,
-      ``"on"`` forces it, ``"off"`` keeps row-at-a-time batches.
-      Batches flow between operators as per-column vectors, adjacent
-      filters/projections are fused into one generated loop, and
-      operators without a columnar path receive rows at their boundary;
-      the changelog is byte-identical in every mode (see
-      docs/RUNTIME.md).
     * ``two_phase`` — physical aggregation shape for sharded runs:
       ``"auto"`` (the default) splits eligible grouped aggregates into
       shard-local partials plus a merge-stage combine, falling back to
@@ -155,7 +142,6 @@ class ExecutionConfig:
     batch_size: Optional[int] = None
     coalesce_updates: Optional[bool] = None
     two_phase: Optional[str] = None
-    columnar: Optional[str] = None
     queue_capacity: Optional[int] = None
     subscriber_capacity: Optional[int] = None
     checkpoint_dir: Optional[str] = None
@@ -233,15 +219,6 @@ class ExecutionConfig:
                 f"two_phase must be 'auto', 'on', or 'off', got "
                 f"{self.two_phase!r}"
             )
-        if self.columnar is not None and self.columnar not in (
-            "auto",
-            "on",
-            "off",
-        ):
-            raise ValidationError(
-                f"columnar must be 'auto', 'on', or 'off', got "
-                f"{self.columnar!r}"
-            )
         if self.queue_capacity is not None and self.queue_capacity < 1:
             raise ValidationError("queue_capacity must be at least 1")
         if self.subscriber_capacity is not None and self.subscriber_capacity < 1:
@@ -271,46 +248,10 @@ class ExecutionConfig:
 
 
 # ---------------------------------------------------------------------------
-# deprecation shims
+# once-per-process warnings
 # ---------------------------------------------------------------------------
 
 _WARNED: set[str] = set()
-
-
-def warn_deprecated_kwarg(name: str, instead: str) -> None:
-    """Emit one ``DeprecationWarning`` per deprecated keyword per process.
-
-    The test suite runs with ``-W error::DeprecationWarning`` (outside
-    the dedicated shim tests), so any internal use of a deprecated
-    keyword fails CI loudly instead of lingering.
-    """
-    if name in _WARNED:
-        return
-    _WARNED.add(name)
-    warnings.warn(
-        f"the {name!r} keyword is deprecated; pass "
-        f"ExecutionConfig({instead}) via config= instead (see docs/API.md)",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
-def warn_deprecated_api(name: str, instead: str) -> None:
-    """Emit one ``DeprecationWarning`` per deprecated entry point.
-
-    Same once-per-process discipline as :func:`warn_deprecated_kwarg`
-    but for whole methods (e.g. ``explain_analyze``): the engine and
-    query shims share one key, so migrating callers see exactly one
-    warning however they reached the old name.
-    """
-    if name in _WARNED:
-        return
-    _WARNED.add(name)
-    warnings.warn(
-        f"{name} is deprecated; use {instead} instead (see docs/API.md)",
-        DeprecationWarning,
-        stacklevel=3,
-    )
 
 
 def warn_coalesce_emit_stream() -> None:

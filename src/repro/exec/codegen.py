@@ -21,15 +21,13 @@ algebraically; any node it cannot express (``CASE``, ``CAST``,
 for that sub-expression only, spliced into the generated loop as an
 opaque callable.
 
-This module is **provisional**: the generated-source strategy and the
-``ENABLED`` switch may change between releases.  Flip ``ENABLED`` to
-``False`` to force the interpreted pipeline path (benchmarks use this
-to isolate codegen's contribution).
+This module is **provisional**: the generated-source strategy may
+change between releases.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional, Sequence, Tuple
+from typing import Any, Callable, Sequence, Tuple
 
 from ..core.changelog import Change
 from ..core.colbatch import ColumnarBatch
@@ -37,16 +35,11 @@ from ..core.errors import ExecutionError
 from ..plan import rex as rexmod
 from ..plan.rex import Rex, RexCall, RexInput, RexLiteral
 
-__all__ = ["ENABLED", "compile_pipeline", "PipelineFns"]
-
-# Module switch: when False, PipelineOperator uses the interpreted
-# (closure-per-step) path.  Provisional; benchmarks flip it to sweep
-# codegen on/off.
-ENABLED = True
+__all__ = ["compile_pipeline", "PipelineFns"]
 
 # Steps are ("filter", Rex) or ("project", tuple[Rex, ...]).
 Step = Tuple[str, Any]
-PipelineFns = Tuple[Callable, Optional[Callable]]
+PipelineFns = Tuple[Callable, Callable]
 
 
 class _Unsupported(Exception):
@@ -260,7 +253,7 @@ def _emit_value(
     except _Unsupported:
         del em.lines[mark:]
         # compile_rex raises ExecutionError for CURRENT_TIME here —
-        # at pipeline build time, exactly like the interpreted path.
+        # at pipeline build time, exactly like the unfused operators.
         closure = em.bind(rexmod.compile_rex(node), "fb")
         em.line(indent, f"{target} = {closure}({_row_tuple_expr(row)})")
     return target
@@ -390,9 +383,9 @@ def compile_pipeline(steps: Sequence[Step], in_width: int) -> PipelineFns:
 
     Always succeeds: nodes the emitter cannot express are bound as
     closure fallbacks inside the generated loop.  Raises
-    :class:`~repro.core.errors.ExecutionError` only where the
-    interpreted path would too (e.g. ``CURRENT_TIME`` in a WHERE
-    clause).
+    :class:`~repro.core.errors.ExecutionError` only where the unfused
+    Filter/Project operators would too (e.g. ``CURRENT_TIME`` in a
+    WHERE clause).
     """
     run_rows = _compile_rows(steps, in_width)
     run_cols = _compile_cols(steps, in_width)

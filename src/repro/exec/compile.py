@@ -110,7 +110,7 @@ def build_operator(
         (child,) = children
         return FilterOperator(node.schema, rex.compile_rex(node.condition))
     if isinstance(node, PipelineNode):
-        # Fused Filter/Project chain (columnar mode); the operator runs
+        # Fused Filter/Project chain (batching flows); the operator runs
         # the whole chain in one generated loop.
         return PipelineOperator(
             node.schema, len(node.input.schema), node.steps

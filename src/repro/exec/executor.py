@@ -54,8 +54,22 @@ from .compile import build_operator, compile_plan
 from .operators.base import Operator
 from .operators.stateless import ScanOperator
 
-__all__ = ["Dataflow", "OutputChannel", "RunResult", "iter_event_runs",
-           "merge_source_events"]
+__all__ = ["Dataflow", "OutputChannel", "RunResult", "columnar_active",
+           "iter_event_runs", "merge_source_events"]
+
+
+def columnar_active(batch_size: int) -> bool:
+    """Whether a flow moves its micro-batches as column vectors.
+
+    Columnar execution is not a setting: it follows ``batch_size``.  A
+    batching flow (``batch_size > 1``) fuses Filter/Project chains into
+    generated pipelines and hands each batch to columnar-capable
+    operators as a :class:`~repro.core.colbatch.ColumnarBatch`; a
+    per-change flow keeps the unfused row operators, the byte-identity
+    reference every batched run is checked against.  EXPLAIN reads
+    this same function, so the plan it shows is the plan that runs.
+    """
+    return batch_size > 1
 
 
 def merge_source_events(
@@ -198,22 +212,15 @@ class Dataflow:
         batch_size: int = 1,
         coalesce_updates: bool = False,
         output_id: str = "main",
-        columnar: str = "off",
     ):
         if batch_size < 1:
             raise ExecutionError("batch_size must be >= 1")
-        if columnar not in ("auto", "on", "off"):
-            raise ExecutionError("columnar must be 'auto', 'on', or 'off'")
         self.plan = plan
         #: maximum row events delivered per micro-batch; 1 = per-change.
         self.batch_size = batch_size
         #: whether intra-instant insert/retract churn is compacted.
         self.coalesce_updates = coalesce_updates
-        #: columnar micro-batch mode: "auto" enables it with batching.
-        self.columnar = columnar
-        self._columnar_active = columnar == "on" or (
-            columnar == "auto" and batch_size > 1
-        )
+        self._columnar_active = columnar_active(batch_size)
         self._allowed_lateness = allowed_lateness
         self._sources: dict[str, TimeVaryingRelation] = {
             name.lower(): tvr for name, tvr in sources.items()
@@ -289,7 +296,7 @@ class Dataflow:
     def _exec_root(self, plan: QueryPlan) -> LogicalNode:
         """The logical root this flow actually compiles for ``plan``.
 
-        In columnar mode adjacent Filter/Project chains are fused into
+        In a batching flow adjacent Filter/Project chains are fused into
         :class:`~repro.plan.pipeline.PipelineNode` steps first; the
         fused tree is memoized per plan object so every correlation
         keyed by node identity (donor transplants, checkpoint recipes,
@@ -616,7 +623,6 @@ class Dataflow:
         allowed_lateness: int = 0,
         batch_size: int = 1,
         coalesce_updates: bool = False,
-        columnar: str = "off",
     ) -> "Dataflow":
         """Rebuild the exact physical sharing structure of a checkpoint.
 
@@ -632,8 +638,6 @@ class Dataflow:
         """
         if batch_size < 1:
             raise ExecutionError("batch_size must be >= 1")
-        if columnar not in ("auto", "on", "off"):
-            raise ExecutionError("columnar must be 'auto', 'on', or 'off'")
         if [oid for oid, _ in plans] != list(structure["output_order"]):
             raise ExecutionError(
                 "checkpoint outputs do not match the plans being restored"
@@ -641,10 +645,7 @@ class Dataflow:
         self = object.__new__(cls)
         self.batch_size = batch_size
         self.coalesce_updates = coalesce_updates
-        self.columnar = columnar
-        self._columnar_active = columnar == "on" or (
-            columnar == "auto" and batch_size > 1
-        )
+        self._columnar_active = columnar_active(batch_size)
         self._allowed_lateness = allowed_lateness
         self._sources = {name.lower(): tvr for name, tvr in sources.items()}
         self._init_graph()
@@ -764,9 +765,6 @@ class Dataflow:
 
         payload = pickle.loads(checkpoint)
         operators = self._operators
-        if "outputs" not in payload:
-            self._restore_legacy(payload)
-            return
         if payload["op_types"] != [type(op).__name__ for op in operators]:
             raise ExecutionError(
                 "checkpoint does not match this dataflow's plan"
@@ -793,35 +791,8 @@ class Dataflow:
         ]
         heapq.heapify(self._timers)
         self._timer_seq = payload["timer_seq"]
-        if payload.get("lineage") is not None:
+        if payload["lineage"] is not None:
             self.set_lineage(LineageRecorder.restore(payload["lineage"]))
-
-    def _restore_legacy(self, payload: dict) -> None:
-        """Restore the pre-DAG single-output checkpoint shape."""
-        operators = self._operators
-        if len(payload["op_states"]) != len(operators):
-            raise ExecutionError(
-                "checkpoint does not match this dataflow's plan"
-            )
-        for op, snapshot in zip(operators, payload["op_states"]):
-            op.state_restore(snapshot)
-        channel = self._outputs[self._primary]
-        channel.changes = list(payload["root_changes"])
-        channel.watermarks = WatermarkTrack()
-        for ptime, value in payload["root_wm_pairs"]:
-            channel.watermarks.advance(ptime, value)
-        self._last_ptime = payload["last_ptime"]
-        self._peak_state = payload["peak_state"]
-        self._opened = payload["opened"]
-        self._timers = [
-            (when, seq, operators[i]) for when, seq, i in payload["timers"]
-        ]
-        heapq.heapify(self._timers)
-        self._timer_seq = payload["timer_seq"]
-        telemetry = payload.get("telemetry")
-        if telemetry is not None:
-            channel.telemetry = RunTelemetry()
-            channel.telemetry.restore(telemetry)
 
     def run(self, until: Optional[Timestamp] = None) -> RunResult:
         """Replay all source events (up to ``until``) and collect the result.

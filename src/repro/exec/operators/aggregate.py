@@ -124,53 +124,16 @@ class AggregateOperator(Operator):
 
     # -- data path ---------------------------------------------------------------
 
-    def on_change(self, port: int, change: Change) -> list[Change]:
-        values = change.values
-        key = tuple(values[i] for i in self._group_indices)
-
-        if self._is_late(key):
-            self.late_dropped += 1
-            return []
-
-        state = self._groups.get(key)
-        if state is None:
-            state = self._new_group()
-            self._groups[key] = state
-
-        if change.is_insert:
-            state.row_count += 1
-            state.retained += 1
-            self._accumulate(state, values, add=True)
-        else:
-            if state.row_count <= 0:
-                raise ExecutionError(
-                    f"retraction for empty group {key!r} in aggregation"
-                )
-            state.row_count -= 1
-            state.retained -= 1
-            self._accumulate(state, values, add=False)
-
-        out: list[Change] = []
-        if state.row_count == 0 and not self._global:
-            if state.emitted is not None:
-                out.append(Change(ChangeKind.RETRACT, state.emitted, change.ptime))
-            del self._groups[key]
-            return out
-
-        row = self._output_row(key, state)
-        if row == state.emitted:
-            return []
-        if state.emitted is not None:
-            out.append(Change(ChangeKind.RETRACT, state.emitted, change.ptime))
-        out.append(Change(ChangeKind.INSERT, row, change.ptime))
-        state.emitted = row
-        return out
-
     def on_batch(self, port: int, changes: Sequence[Change]) -> list[Change]:
-        # Same transitions as on_change, with the per-change lookups
-        # hoisted: one group-dict binding, one lateness cutoff (the
+        # The row transition, written once for a run of changes (a
+        # single change arrives as a batch of one).  Per-change lookups
+        # are hoisted: one group-dict binding, one lateness cutoff (the
         # input watermark cannot move inside a batch, because watermark
-        # events break batches), one output list.
+        # events break batches), one output list.  A change is late
+        # once *all* of its group's event-time keys are covered by the
+        # watermark: for a window grouped by (wstart, wend) that is
+        # ``wend <= watermark``, since wstart < wend (the planner's
+        # sibling-key injection keeps wend alongside wstart).
         groups = self._groups
         group_indices = self._group_indices
         et_positions = self._et_positions
@@ -476,24 +439,6 @@ class AggregateOperator(Operator):
 
     # -- event time ------------------------------------------------------------------
 
-    def _is_late(self, key: tuple) -> bool:
-        """Whether this change belongs to a group declared complete.
-
-        A group is complete once *all* of its event-time keys are
-        covered by the watermark: for a window grouped by (wstart,
-        wend) that is ``wend <= watermark``, since wstart < wend.  (A
-        group keyed by wstart alone would otherwise complete while its
-        window was still open; the planner's sibling-key injection
-        guarantees wend is always present alongside wstart.)
-        """
-        if not self._et_positions:
-            return False
-        wm = self.input_watermark
-        return all(
-            key[pos] + self._allowed_lateness <= wm
-            for pos in self._et_positions
-        )
-
     def _group_complete_at(self, key: tuple, wm: Timestamp) -> bool:
         """With allowed lateness, state survives the watermark by that
         margin so late firings can still update the group (the "late"
@@ -506,7 +451,8 @@ class AggregateOperator(Operator):
     def _on_watermark_advanced(self, merged: Timestamp, ptime: Timestamp) -> list[Change]:
         # Free the state of groups that just became complete.  Their
         # output rows are already current; late inputs will be dropped
-        # by _is_late, so the accumulators are never needed again.
+        # by the lateness cutoff in on_batch, so the accumulators are
+        # never needed again.
         if not self._et_positions or merged <= self._finalized_max:
             return []
         self._finalized_max = merged
@@ -532,7 +478,7 @@ class AggregateOperator(Operator):
         super().state_restore(snapshot)
         self._groups = copy.deepcopy(snapshot["groups"])
         self._finalized_max = copy.deepcopy(snapshot["finalized_max"])
-        self._groups_created = snapshot.get("groups_created", 0)
+        self._groups_created = snapshot["groups_created"]
 
     def state_size(self) -> int:
         return sum(state.retained for state in self._groups.values())
@@ -628,9 +574,6 @@ class PartialAggregateOperator(AggregateOperator):
         return []
 
     # -- data path ---------------------------------------------------------------
-
-    def on_change(self, port: int, change: Change) -> list[Change]:
-        return self.on_batch(port, (change,))
 
     def on_batch(self, port: int, changes: Sequence[Change]) -> list[Change]:
         if not changes:
@@ -855,9 +798,6 @@ class CombineAggregateOperator(AggregateOperator):
 
     # -- data path ---------------------------------------------------------------
 
-    def on_change(self, port: int, change: Change) -> list[Change]:
-        return self.on_batch(port, (change,))
-
     def on_batch(self, port: int, changes: Sequence[Change]) -> list[Change]:
         out: list[Change] = []
         for change in changes:
@@ -987,7 +927,7 @@ class CombineAggregateOperator(AggregateOperator):
 
     def state_restore(self, snapshot: dict) -> None:
         super().state_restore(snapshot)
-        self._agg_rows_in = snapshot.get("agg_rows_in", 0)
+        self._agg_rows_in = snapshot["agg_rows_in"]
 
     def _extra_metrics(self) -> dict:
         extras = super()._extra_metrics()

@@ -3,15 +3,26 @@
 Operators process *changelogs*: every data message is a
 :class:`~repro.core.changelog.Change` (an insert or retract of one row
 occurrence), mirroring how Flink's retraction streams drive its SQL
-runtime (Appendix B.2.3).  Watermarks flow as separate control
-messages.
+runtime (Appendix B.2.3): an operator adjusts and forwards change
+messages.  Watermarks flow as separate control messages.
 
-The contract:
+The contract — each operator writes its row transition exactly once:
 
+* Override **one** row hook.  ``on_batch(port, changes)`` consumes a
+  run of same-instant changes on an input port and returns the
+  resulting output changes, in order; an operator with a batch loop
+  overrides it, and a single change reaches it as a batch of one
+  (the base ``on_change``).  Operators whose transition is inherently
+  per-change override ``on_change(port, change)`` instead, and the base
+  ``on_batch`` concatenates its per-change outputs.  Either way the
+  batch output is the ordered concatenation of the per-change outputs,
+  the invariant byte-identical batching rests on.  Never override both.
+* Override ``on_cols(port, batch)`` only together with
+  ``supports_columnar = True``: it consumes a
+  :class:`~repro.core.colbatch.ColumnarBatch` and must produce the
+  same changes the row hook would.
 * ``on_open`` runs once before any input and may emit initial rows
   (e.g. the empty-input row of a global aggregate).
-* ``on_change(port, change)`` consumes one change on an input port and
-  returns the resulting output changes, in order.
 * ``on_watermark(port, value, ptime)`` records an input watermark
   advance and returns ``(changes, output_watermark)`` — the changes the
   advance triggered plus the operator's new output watermark (``None``
@@ -94,17 +105,14 @@ class Operator:
         return []
 
     def on_change(self, port: int, change: Change) -> list[Change]:
-        raise NotImplementedError
+        """Consume one change: by default, a batch of one."""
+        return self.on_batch(port, (change,))
 
     def on_batch(self, port: int, changes: Sequence[Change]) -> list[Change]:
         """Consume a run of same-instant changes on one port.
 
         The default delegates to :meth:`on_change` per change and
-        concatenates, so the batch output is *by construction* the
-        ordered concatenation of the per-change outputs — the invariant
-        the executor's byte-identical batching mode rests on.  Hot
-        operators override this with a vectorized loop that must
-        preserve exactly that concatenation.
+        concatenates, for operators whose transition is per-change.
         """
         on_change = self.on_change
         out: list[Change] = []

@@ -28,9 +28,6 @@ class ScanOperator(Operator):
         super().__init__(schema, arity=1)
         self.source_name = source_name
 
-    def on_change(self, port: int, change: Change) -> list[Change]:
-        return [change]
-
     def on_batch(self, port: int, changes: Sequence[Change]) -> list[Change]:
         return list(changes)
 
@@ -52,11 +49,6 @@ class FilterOperator(Operator):
         super().__init__(schema, arity=1)
         self._predicate = predicate
 
-    def on_change(self, port: int, change: Change) -> list[Change]:
-        if self._predicate(change.values) is True:
-            return [change]
-        return []
-
     def on_batch(self, port: int, changes: Sequence[Change]) -> list[Change]:
         predicate = self._predicate
         return [c for c in changes if predicate(c.values) is True]
@@ -68,11 +60,6 @@ class ProjectOperator(Operator):
     def __init__(self, schema: Schema, exprs: Sequence[Callable[[tuple], Any]]):
         super().__init__(schema, arity=1)
         self._exprs = list(exprs)
-
-    def on_change(self, port: int, change: Change) -> list[Change]:
-        values = change.values
-        projected = tuple(expr(values) for expr in self._exprs)
-        return [Change(change.kind, projected, change.ptime)]
 
     def on_batch(self, port: int, changes: Sequence[Change]) -> list[Change]:
         exprs = self._exprs
@@ -108,9 +95,6 @@ class UnionOperator(Operator):
     def __init__(self, schema: Schema, arity: int):
         super().__init__(schema, arity=arity)
 
-    def on_change(self, port: int, change: Change) -> list[Change]:
-        return [change]
-
     def on_batch(self, port: int, changes: Sequence[Change]) -> list[Change]:
         return list(changes)
 
@@ -131,9 +115,6 @@ class SortOperator(Operator):
 
     def __init__(self, schema: Schema):
         super().__init__(schema, arity=1)
-
-    def on_change(self, port: int, change: Change) -> list[Change]:
-        return [change]
 
     def on_batch(self, port: int, changes: Sequence[Change]) -> list[Change]:
         return list(changes)

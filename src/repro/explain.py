@@ -15,7 +15,7 @@ Every way of asking "what will (did) this query do" — the engine's
   knob, the observed fan-in from counter feedback, the combine
   threshold, and the resulting decision.
 * ``analyze`` — ``logical`` plus per-operator runtime counters from an
-  actual execution (the old ``explain_analyze``).
+  actual execution.
 
 SQL spellings map onto the same modes: ``EXPLAIN q`` is ``logical``,
 ``EXPLAIN (PHYSICAL) q`` / ``EXPLAIN (COSTS) q`` select a mode, and
@@ -142,27 +142,22 @@ def _columnar_section(query) -> str:
     fusion the executor applies (:func:`get_fused_root`), so the tree
     shown is the tree that runs.
     """
-    effective = query._effective()
-    active = effective.columnar == "on" or (
-        effective.columnar == "auto" and effective.batch_size > 1
-    )
-    if not active:
-        return (
-            f"Columnar: off — row-at-a-time batches "
-            f"(columnar={effective.columnar}, "
-            f"batch_size={effective.batch_size})"
-        )
     from .exec.compile import compile_plan
+    from .exec.executor import columnar_active
+
+    effective = query._effective()
+    if not columnar_active(effective.batch_size):
+        return (
+            "Columnar: off — per-change rows "
+            f"(batch_size={effective.batch_size})"
+        )
 
     root = get_fused_root(query.plan)
     compiled = compile_plan(
         root, allowed_lateness=effective.allowed_lateness
     )
     ops = {id(node): op for node, op in compiled.node_ops}
-    lines = [
-        f"Columnar: on (columnar={effective.columnar}, "
-        f"batch_size={effective.batch_size})"
-    ]
+    lines = [f"Columnar: on (batch_size={effective.batch_size})"]
 
     def walk(node, depth: int) -> None:
         tags = ""

@@ -199,10 +199,8 @@ class OperatorCounters:
         self.rows_out = snapshot["rows_out"]
         self.retracts_out = snapshot["retracts_out"]
         self.peak_state_rows = snapshot["peak_state_rows"]
-        # Absent in pre-telemetry checkpoints; start the count fresh.
-        self.wm_advances = snapshot.get("wm_advances", 0)
-        # Absent in pre-batching checkpoints; start the count fresh.
-        self.changes_coalesced = snapshot.get("changes_coalesced", 0)
+        self.wm_advances = snapshot["wm_advances"]
+        self.changes_coalesced = snapshot["changes_coalesced"]
 
 
 def watermark_lag(input_wm: int, output_wm: int) -> int:

@@ -1,8 +1,9 @@
 """Pipeline fusion: collapse adjacent Filter/Project chains.
 
-When the executor runs in columnar mode it rewrites the logical tree
-so that every maximal chain of :class:`~repro.plan.logical.FilterNode`
-and :class:`~repro.plan.logical.ProjectNode` becomes one
+When a flow batches (``batch_size > 1``) the executor rewrites the
+logical tree so that every maximal chain of
+:class:`~repro.plan.logical.FilterNode` and
+:class:`~repro.plan.logical.ProjectNode` becomes one
 :class:`PipelineNode`.  The compiled
 :class:`~repro.exec.operators.pipeline.PipelineOperator` then executes
 the whole chain in a single generated loop (:mod:`repro.exec.codegen`)

@@ -172,6 +172,6 @@ class CombineStage:
             )
         for op, state in zip(self._ops, states):
             op.state_restore(state)
-        restored = payload.get("telemetry")
+        restored = payload["telemetry"]
         if restored is not None:
             self.telemetry = restored

@@ -109,7 +109,6 @@ class ShardedDataflow:
         coalesce_updates: bool = False,
         two_phase: bool = False,
         output_id: str = "main",
-        columnar: str = "off",
     ):
         if shards < 1:
             raise ExecutionError("a sharded dataflow needs at least one shard")
@@ -121,7 +120,6 @@ class ShardedDataflow:
         self.batch_size = batch_size
         self.coalesce_updates = coalesce_updates
         self.two_phase = two_phase
-        self.columnar = columnar
         self._allowed_lateness = allowed_lateness
         self._raw_sources = sources
         self._sources = {name.lower(): tvr for name, tvr in sources.items()}
@@ -139,7 +137,6 @@ class ShardedDataflow:
                 batch_size=batch_size,
                 coalesce_updates=coalesce_updates,
                 output_id=output_id,
-                columnar=columnar,
             )
             for _ in range(shards)
         ]
@@ -623,7 +620,6 @@ class ShardedDataflow:
                     batch_size=self.batch_size,
                     coalesce_updates=self.coalesce_updates,
                     output_id=self._primary,
-                    columnar=self.columnar,
                 )
                 flow.trace = _shard_batch_tagger(trace, index)
                 return flow
@@ -826,21 +822,16 @@ class ShardedDataflow:
             )
         for shard, blob in zip(self._shards, payload["shards"]):
             shard.restore(blob)
-        if "outputs" in payload:
-            if set(payload["output_order"]) != set(self._outputs):
-                raise ExecutionError(
-                    "checkpoint does not match this dataflow's outputs"
-                )
-            for oid, stored in payload["outputs"].items():
-                merge = self._outputs[oid]
-                merge.merged = list(stored["merged"])
-                merge.frontier.restore(stored["frontier"])
-        else:  # pre-DAG checkpoint shape
-            merge = self._outputs[self._primary]
-            merge.frontier.restore(payload["frontier"])
-            merge.merged = list(payload["merged_changes"])
+        if set(payload["output_order"]) != set(self._outputs):
+            raise ExecutionError(
+                "checkpoint does not match this dataflow's outputs"
+            )
+        for oid, stored in payload["outputs"].items():
+            merge = self._outputs[oid]
+            merge.merged = list(stored["merged"])
+            merge.frontier.restore(stored["frontier"])
         self._last_ptime = payload["last_ptime"]
-        stored_stages = payload.get("stages", {})
+        stored_stages = payload["stages"]
         if set(stored_stages) != set(self._stages):
             raise ExecutionError(
                 "checkpoint two-phase outputs "
@@ -849,9 +840,8 @@ class ShardedDataflow:
             )
         for oid, blob in stored_stages.items():
             self._stages[oid].restore(blob)
-        # Absent in pre-supervisor checkpoints; start the ledger fresh.
-        self._recovery = RecoveryStats(**payload.get("recovery", {}))
-        if payload.get("lineage") is not None:
+        self._recovery = RecoveryStats(**payload["recovery"])
+        if payload["lineage"] is not None:
             self.set_lineage(LineageRecorder.restore(payload["lineage"]))
 
     @classmethod
@@ -869,7 +859,6 @@ class ShardedDataflow:
         batch_size: int = 1,
         coalesce_updates: bool = False,
         two_phase: bool = False,
-        columnar: str = "off",
     ) -> "ShardedDataflow":
         """Rebuild a multi-output sharded dataflow from a checkpoint recipe.
 
@@ -891,7 +880,6 @@ class ShardedDataflow:
         self.batch_size = batch_size
         self.coalesce_updates = coalesce_updates
         self.two_phase = two_phase
-        self.columnar = columnar
         self._allowed_lateness = allowed_lateness
         self._raw_sources = sources
         self._sources = {name.lower(): tvr for name, tvr in sources.items()}
@@ -916,7 +904,6 @@ class ShardedDataflow:
                 allowed_lateness,
                 batch_size=batch_size,
                 coalesce_updates=coalesce_updates,
-                columnar=columnar,
             )
             for _ in range(shards)
         ]

@@ -188,14 +188,12 @@ class SharedPlanCache:
                     # output splits is decided at attach time, so an
                     # ineligible query can still share a two-phase flow.
                     effective.two_phase,
-                    effective.columnar,
                 )
         return (
             "serial",
             effective.allowed_lateness,
             effective.batch_size,
             effective.coalesce_updates,
-            effective.columnar,
         )
 
     def find_host(
@@ -422,7 +420,6 @@ class SessionManager:
                     coalesce_updates=effective.coalesce_updates,
                     two_phase=effective.two_phase != "off",
                     output_id=output_id,
-                    columnar=effective.columnar,
                 )
                 self._install_lineage(flow, effective, lineage)
                 return flow
@@ -433,7 +430,6 @@ class SessionManager:
             batch_size=effective.batch_size,
             coalesce_updates=effective.coalesce_updates,
             output_id=output_id,
-            columnar=effective.columnar,
         )
         self._install_lineage(flow, effective, lineage)
         return flow
@@ -649,8 +645,7 @@ class SessionManager:
         re-running fingerprint matching could legally regroup after
         withdrawals, and operator states would misalign) and restored
         from its blob, and ``source_offsets`` tells tailers where to
-        resume reading.  Manifests from before plan sharing (no
-        ``flows`` key) restore one private flow per query.
+        resume reading.
         """
         with open(os.path.join(directory, _MANIFEST)) as fh:
             manifest = json.load(fh)
@@ -665,8 +660,6 @@ class SessionManager:
                 self.engine.register_stream(name, tvr)
         self.events_ingested = manifest["events_ingested"]
         self.source_offsets = dict(manifest["source_offsets"])
-        if "flows" not in manifest:
-            return self._restore_legacy(directory, manifest, admit)
         by_id = {spec["query_id"]: spec for spec in manifest["queries"]}
         for entry in manifest["flows"]:
             self._restore_flow(directory, entry, by_id, admit)
@@ -711,7 +704,6 @@ class SessionManager:
                 batch_size=effective.batch_size,
                 coalesce_updates=effective.coalesce_updates,
                 two_phase=effective.two_phase != "off",
-                columnar=effective.columnar,
             )
         else:
             flow = Dataflow.from_structure(
@@ -721,7 +713,6 @@ class SessionManager:
                 effective.allowed_lateness,
                 batch_size=effective.batch_size,
                 coalesce_updates=effective.coalesce_updates,
-                columnar=effective.columnar,
             )
         flow.restore(blob)
         record = _FlowRecord(
@@ -745,24 +736,3 @@ class SessionManager:
             query.cursor = spec["cursor"]
             query.subscriptions.seek(spec["next_seq"])
             self._queries[member] = query
-
-    def _restore_legacy(self, directory: str, manifest: dict, admit) -> int:
-        """Restore a pre-sharing manifest: one private flow per query."""
-        for spec in manifest["queries"]:
-            plan = admit(spec["tenant"], spec["sql"])
-            effective = ExecutionConfig(
-                parallelism=spec["parallelism"]
-            ).merged_over(self.config).resolved()
-            query = self.register(
-                spec["tenant"],
-                spec["sql"],
-                plan,
-                query_id=spec["query_id"],
-                config=effective,
-                catch_up=False,
-            )
-            with open(os.path.join(directory, f"{spec['query_id']}.ckpt"), "rb") as fh:
-                query.flow.restore(fh.read())
-            query.cursor = spec["cursor"]
-            query.subscriptions.seek(spec["next_seq"])
-        return len(manifest["queries"])

@@ -9,6 +9,8 @@ notices.
 """
 
 import importlib
+import re
+from pathlib import Path
 
 import pytest
 
@@ -95,6 +97,18 @@ class TestTopLevelSurface:
     def test_version_is_pep440_ish(self):
         major, minor, patch = repro.__version__.split(".")
         assert all(part.isdigit() for part in (major, minor, patch))
+
+    def test_version_matches_packaging_metadata(self):
+        # A regex, not tomllib: the suite also runs on Python 3.10.
+        root = Path(__file__).resolve().parents[1]
+        pyproject = (root / "pyproject.toml").read_text()
+        project = re.search(r"^\[project\]$(.*?)^\[", pyproject, re.M | re.S)
+        assert project is not None
+        version = re.search(r'^version\s*=\s*"([^"]+)"', project.group(1), re.M)
+        assert version is not None
+        assert repro.__version__ == version.group(1)
+        setup_py = (root / "setup.py").read_text()
+        assert f'version="{repro.__version__}"' in setup_py
 
 
 class TestPackageSurfaces:

@@ -1,12 +1,14 @@
 """Columnar micro-batch execution: byte-identity, codegen, recovery.
 
-The columnar invariant (docs/RUNTIME.md section 9): at any batch size,
-serial or sharded, with or without two-phase aggregation or coalescing,
+Every batching flow (``batch_size > 1``) runs columnar; there is no
+switch.  The columnar invariant (docs/RUNTIME.md section 9): at any
+batch size, serial or sharded, with or without two-phase aggregation,
 the changelog a columnar run produces is *byte-identical* — values,
-``ptime``, ordering, watermark steps — to the row-at-a-time run of the
-same configuration.  Columnar mode changes how batches move between
-operators (per-column vectors, fused filter/project pipelines,
-generated loops), never what they contain.
+``ptime``, ordering, watermark steps — to the ``batch_size=1``
+per-change run over the unfused row operators.  With coalescing it is
+snapshot-equivalent at every instant instead.  Columnar execution
+changes how batches move between operators (per-column vectors, fused
+filter/project pipelines, generated loops), never what they contain.
 """
 
 import pytest
@@ -21,8 +23,9 @@ from repro.core.schema import Schema, int_col, timestamp_col
 from repro.core.schema import SqlType
 from repro.core.times import seconds, t
 from repro.core.tvr import TimeVaryingRelation, ins, wm
-from repro.exec import codegen
+from repro.exec.executor import columnar_active
 from repro.exec.operators.pipeline import PipelineOperator
+from repro.exec.operators.stateless import FilterOperator, ProjectOperator
 from repro.nexmark.queries import Q3_LOCAL_ITEM_SUGGESTION
 from repro.plan.rex import (
     RexCase,
@@ -30,6 +33,7 @@ from repro.plan.rex import (
     RexCurrentTime,
     RexInput,
     RexLiteral,
+    compile_rex,
 )
 
 KEYED_SCHEMA = Schema(
@@ -101,16 +105,24 @@ def _run(events, sql, **config):
 
 
 def _assert_identical(events, sql, **config):
-    """Columnar on == columnar off, byte for byte, under ``config``."""
-    row = _run(events, sql, columnar="off", **config)
-    col = _run(events, sql, columnar="on", **config)
-    assert col.changes == row.changes
-    assert col.watermarks.as_pairs() == row.watermarks.as_pairs()
-    assert col.late_dropped == row.late_dropped
+    """The run under ``config`` == the serial ``batch_size=1`` per-change
+    run: byte for byte, or snapshot-equivalent at every instant when
+    ``config`` coalesces."""
+    reference = _run(events, sql, batch_size=1)
+    result = _run(events, sql, **config)
+    assert result.watermarks.as_pairs() == reference.watermarks.as_pairs()
+    assert result.late_dropped == reference.late_dropped
+    if not config.get("coalesce_updates"):
+        assert result.changes == reference.changes
+        return
+    instants = {c.ptime for c in reference.changes}
+    instants |= {c.ptime for c in result.changes}
+    for at in sorted(instants):
+        assert result.snapshot(at) == reference.snapshot(at)
 
 
 # ---------------------------------------------------------------------------
-# hypothesis: columnar == row-at-a-time, byte for byte
+# hypothesis: columnar batches == per-change rows, byte for byte
 # ---------------------------------------------------------------------------
 
 
@@ -150,16 +162,19 @@ def test_columnar_identical_hop(entries):
 
 
 def test_columnar_auto_follows_batch_size():
+    assert not columnar_active(1)
+    assert columnar_active(2)
     events = _build_events([(0, 0, 5, True), (1, 1, 9, True), (3, 0, 20, False)])
-    engine = StreamEngine(
-        config=ExecutionConfig(batch_size=64, columnar="auto")
-    )
+    engine = StreamEngine(config=ExecutionConfig(batch_size=64))
     engine.register_stream("S", TimeVaryingRelation(KEYED_SCHEMA, events))
     flow = engine.query(STATELESS_SQL).dataflow()
     assert flow._columnar_active
-    engine2 = StreamEngine(config=ExecutionConfig(columnar="auto"))
+    assert any(isinstance(op, PipelineOperator) for op in flow.operators)
+    engine2 = StreamEngine()
     engine2.register_stream("S", TimeVaryingRelation(KEYED_SCHEMA, events))
-    assert not engine2.query(STATELESS_SQL).dataflow()._columnar_active
+    flow2 = engine2.query(STATELESS_SQL).dataflow()
+    assert not flow2._columnar_active
+    assert not any(isinstance(op, PipelineOperator) for op in flow2.operators)
 
 
 # ---------------------------------------------------------------------------
@@ -180,24 +195,30 @@ def _changes(rows):
             for i, row in enumerate(rows)]
 
 
-def test_pipeline_codegen_matches_interpreter():
-    steps = (
-        ("filter", RexCall_gt(_int_input(0), _lit(2))),
-        ("project", (RexCall_add(_int_input(0), _int_input(1)),)),
+def test_pipeline_codegen_matches_unfused_operators():
+    """The fused generated loop == the unfused Filter -> Project
+    operators fed one change at a time (the batch_size=1 reference)."""
+    cond = RexCall_gt(_int_input(0), _lit(2))
+    exprs = (RexCall_add(_int_input(0), _int_input(1)),)
+    compiled = PipelineOperator(
+        _two_int_schema(), 2, (("filter", cond), ("project", exprs))
     )
-    compiled = PipelineOperator(_two_int_schema(), 2, steps)
-    codegen_was = codegen.ENABLED
-    codegen.ENABLED = False
-    try:
-        interpreted = PipelineOperator(_two_int_schema(), 2, steps)
-    finally:
-        codegen.ENABLED = codegen_was
+    filter_op = FilterOperator(_two_int_schema(), compile_rex(cond))
+    project_op = ProjectOperator(
+        Schema([int_col("s")]), [compile_rex(e) for e in exprs]
+    )
     batch = _changes([(1, 10), (3, 20), (5, 30), (None, 40)])
-    assert compiled.on_batch(0, batch) == interpreted.on_batch(0, batch)
+    reference = [
+        projected
+        for change in batch
+        for kept in filter_op.on_change(0, change)
+        for projected in project_op.on_change(0, kept)
+    ]
+    assert compiled.on_batch(0, batch) == reference
     cols = ColumnarBatch.from_changes(batch, 2)
     out = compiled.on_cols(0, cols)
     rows = out.to_changes() if isinstance(out, ColumnarBatch) else out
-    assert rows == interpreted.on_batch(0, batch)
+    assert rows == reference
 
 
 def test_case_and_cast_fall_back_to_closures():
@@ -271,7 +292,7 @@ def RexCall_div(a, b):
 
 
 def test_columnar_crash_after_checkpoint_recovers_exactly(nexmark_small):
-    """batch_size=64, columnar on, crash-after-checkpoint: recovery
+    """batch_size=64 (columnar), crash-after-checkpoint: recovery
     replays the same micro-batches through the same columnar pipelines
     and reproduces the fault-free serial output byte for byte."""
     serial = StreamEngine()
@@ -283,7 +304,6 @@ def test_columnar_crash_after_checkpoint_recovers_exactly(nexmark_small):
             parallelism=3,
             backend="threads",
             batch_size=64,
-            columnar="on",
             retry=RetryPolicy(max_restarts=3, checkpoint_interval=3),
             fault_plan="crash-after-checkpoint:shard=0,at=1",
         )
@@ -307,9 +327,7 @@ def test_columnar_checkpoint_restore_roundtrip():
          (3, 0, 20, True), (0, 2, 25, False), (1, 0, 30, True),
          (3, 1, 40, True)]
     )
-    engine = StreamEngine(
-        config=ExecutionConfig(batch_size=64, columnar="on")
-    )
+    engine = StreamEngine(config=ExecutionConfig(batch_size=64))
     engine.register_stream("S", TimeVaryingRelation(KEYED_SCHEMA, events))
     query = engine.query(TUMBLE_SQL)
     uninterrupted = query.dataflow().run()
@@ -327,7 +345,6 @@ def test_columnar_checkpoint_restore_roundtrip():
         pickle.loads(blob),
         {"S": TimeVaryingRelation(KEYED_SCHEMA, events)},
         batch_size=64,
-        columnar="on",
     )
     restored.restore(blob)
     for event in events[half:]:
@@ -343,9 +360,7 @@ def test_columnar_checkpoint_restore_roundtrip():
 
 
 def test_physical_explain_annotates_columnar():
-    engine = StreamEngine(
-        config=ExecutionConfig(batch_size=64, columnar="auto")
-    )
+    engine = StreamEngine(config=ExecutionConfig(batch_size=64))
     engine.register_stream("S", TimeVaryingRelation(KEYED_SCHEMA, []))
     text = engine.query(STATELESS_SQL).explain(mode="physical")
     assert "[columnar]" in text
@@ -360,16 +375,14 @@ def test_physical_explain_columnar_off():
 
 
 def test_columnar_config_validation():
-    from repro.core.errors import ValidationError
-
-    with pytest.raises(ValidationError, match="columnar"):
-        ExecutionConfig(columnar="sideways")
-    assert ExecutionConfig(columnar="on").columnar == "on"
+    """Columnar execution follows batch_size; it is no config field."""
+    with pytest.raises(TypeError, match="columnar"):
+        ExecutionConfig(columnar="on")
 
 
 def test_columnar_cli_flag():
-    from repro.__main__ import build_config, build_parser
+    """No ``--columnar`` flag: ``--batch-size`` alone decides."""
+    from repro.__main__ import build_parser
 
-    parser = build_parser()
-    args = parser.parse_args(["--columnar", "on"])
-    assert build_config(args).columnar == "on"
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["--columnar", "on"])

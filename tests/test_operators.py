@@ -309,3 +309,56 @@ class TestSession:
         op.on_watermark(0, t("8:30"), ptime=0)
         assert op.on_change(0, ins((t("8:00"), 1))) == []
         assert op.late_dropped == 1
+
+
+class TestExecutionContract:
+    """Each operator writes its row transition once (see the contract in
+    ``repro.exec.operators.base``): one row hook, plus ``on_cols`` only
+    when it declares ``supports_columnar``."""
+
+    @staticmethod
+    def _operator_classes():
+        import importlib
+        import inspect
+        import pkgutil
+
+        import repro.exec.operators as package
+        from repro.exec.operators.base import Operator
+
+        classes = set()
+        for info in pkgutil.iter_modules(package.__path__):
+            module = importlib.import_module(f"{package.__name__}.{info.name}")
+            for _, cls in inspect.getmembers(module, inspect.isclass):
+                if issubclass(cls, Operator) and cls is not Operator:
+                    classes.add(cls)
+        return sorted(classes, key=lambda cls: cls.__qualname__)
+
+    def test_no_operator_defines_both_row_hooks(self):
+        classes = self._operator_classes()
+        assert len(classes) >= 20
+        both = [
+            cls.__name__
+            for cls in classes
+            if "on_change" in cls.__dict__ and "on_batch" in cls.__dict__
+        ]
+        assert both == []
+
+    def test_every_operator_overrides_one_row_hook(self):
+        from repro.exec.operators.base import Operator
+
+        missing = [
+            cls.__name__
+            for cls in self._operator_classes()
+            if cls.on_change is Operator.on_change
+            and cls.on_batch is Operator.on_batch
+        ]
+        assert missing == []
+
+    def test_on_cols_only_with_supports_columnar(self):
+        from repro.exec.operators.base import Operator
+
+        for cls in self._operator_classes():
+            if "on_cols" in cls.__dict__:
+                assert cls.supports_columnar, cls.__name__
+            if cls.supports_columnar:
+                assert cls.on_cols is not Operator.on_cols, cls.__name__
