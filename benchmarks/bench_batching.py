@@ -199,9 +199,11 @@ def _mqo_deltas(streams, share_plans: bool, **config) -> list:
     # records what the service ingests, so it must start empty).
     service.register_stream("Bid", TimeVaryingRelation(streams.bids.schema))
     query = service.submit("bench", TUMBLE_SQL)
+    # The service keeps no published history; collect it as delivered.
+    collector = service.subscribe(query.query_id, "collector", capacity=1 << 30)
     for event in streams.bids.events():
         service.ingest(event, "Bid")
-    return query.flow.output_slice_of(query.output_id, 0)
+    return [d.change for d in collector.take()]
 
 
 def _check_mqo(streams) -> dict:

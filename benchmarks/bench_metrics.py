@@ -6,16 +6,18 @@ attached, and writes ``BENCH_metrics.json`` — the artifact CI uploads:
 
 * per-configuration wall time and events/second (the metrics layer is
   always on, so these times *include* its cost);
-* the per-operator flow totals from the :class:`MetricsReport`;
+* the flow totals from the :class:`MetricsReport`, and the per-operator
+  counters behind them (``operators``);
 * rows routed per shard and the max/min skew summary;
 * the trace summary (batches, changes, watermark advances);
 * per-query emit-latency and watermark-lag percentiles (``latency``),
   identical across configurations by the routing invariance argument.
 
 ``schema_version`` is bumped whenever the artifact layout changes so
-downstream dashboards can dispatch on it (currently 3: the workload
-stanza records the execution knobs ``batch_size``/``coalesce_updates``
-so runs at different settings are never compared as equals).
+downstream dashboards can dispatch on it (currently 4: each run also
+lists its per-operator counters, because a two-phase sharded plan has
+one operator the serial plan lacks and totals alone cannot be compared;
+3 added the ``batch_size``/``coalesce_updates`` workload knobs).
 
 Runs under plain pytest (no pytest-benchmark fixtures) and as a
 script::
@@ -45,7 +47,16 @@ SQL = """
 """
 
 ARTIFACT = Path(__file__).resolve().parents[1] / "BENCH_metrics.json"
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
+
+#: routing-invariant counters every configuration must agree on.
+INVARIANT_KEYS = ("rows_in", "rows_out", "late_dropped", "expired_rows")
+
+#: operators only a two-phase sharded plan has.  Its shards pre-aggregate
+#: in a ``PartialAggregate`` and the ``CombineAggregate`` above them
+#: takes the serial ``Aggregate``'s place.
+TWO_PHASE_ONLY = "PartialAggregateOperator"
+SERIAL_COUNTERPART = {"CombineAggregateOperator": "AggregateOperator"}
 
 
 def _latency(report) -> dict:
@@ -54,6 +65,34 @@ def _latency(report) -> dict:
     if telemetry is None:  # pragma: no cover — every dataflow attaches one
         return {}
     return telemetry.summary()
+
+
+def _operators(report) -> list[dict]:
+    """Per-operator invariant counters, root first, shards summed."""
+    return [
+        {
+            "type": entry["type"],
+            "rows_in": sum(entry["rows_in"]),
+            "rows_out": entry["rows_out"],
+            "late_dropped": entry["late_dropped"],
+            "expired_rows": entry["expired_rows"],
+        }
+        for entry in report.operators
+    ]
+
+
+def shared_totals(run: dict) -> dict:
+    """Invariant totals over the operators the serial plan also has."""
+    shared = [op for op in run["operators"] if op["type"] != TWO_PHASE_ONLY]
+    return {key: sum(op[key] for op in shared) for key in INVARIANT_KEYS}
+
+
+def shared_types(run: dict) -> list[str]:
+    return [
+        SERIAL_COUNTERPART.get(op["type"], op["type"])
+        for op in run["operators"]
+        if op["type"] != TWO_PHASE_ONLY
+    ]
 
 
 def _workload():
@@ -76,6 +115,7 @@ def _run_serial_traced(streams) -> dict:
         "seconds": elapsed,
         "events_per_second": NUM_EVENTS / elapsed,
         "totals": result.metrics.totals,
+        "operators": _operators(result.metrics),
         "late_dropped": result.late_dropped,
         "expired_rows": result.expired_rows,
         "latency": _latency(result.metrics),
@@ -100,6 +140,7 @@ def _run_sharded(streams, shards: int) -> dict:
         "seconds": elapsed,
         "events_per_second": NUM_EVENTS / elapsed,
         "totals": report.totals,
+        "operators": _operators(report),
         "late_dropped": result.late_dropped,
         "expired_rows": result.expired_rows,
         "latency": _latency(report),
@@ -134,17 +175,31 @@ def write_artifact(payload: dict) -> Path:
 
 def test_metrics_bench_produces_artifact():
     """The bench is also the regression gate: every configuration must
-    agree on the flow totals (routing-invariant counters), and the
-    artifact must land on disk for CI to upload."""
+    agree on the flow totals (routing-invariant counters) over the
+    operators it shares with the serial plan, and the artifact must land
+    on disk for CI to upload."""
     payload = collect()
     assert payload["schema_version"] == SCHEMA_VERSION
     assert payload["workload"]["batch_size"] == 1
     assert payload["workload"]["coalesce_updates"] is False
     serial = payload["runs"][0]
     assert serial["latency"]["emit_latency"]["count"] > 0
+    serial_totals = shared_totals(serial)
+    assert serial_totals == {key: serial["totals"][key] for key in INVARIANT_KEYS}
+    (serial_aggregate,) = [
+        op for op in serial["operators"] if op["type"] == "AggregateOperator"
+    ]
     for run in payload["runs"][1:]:
-        for key in ("rows_in", "rows_out", "late_dropped", "expired_rows"):
-            assert run["totals"][key] == serial["totals"][key], key
+        assert shared_types(run) == shared_types(serial)
+        totals = shared_totals(run)
+        for key in INVARIANT_KEYS:
+            assert totals[key] == serial_totals[key], key
+        # the two-phase arm: the shards' partial aggregate sees every
+        # row the serial aggregate sees, exactly once
+        (partial,) = [
+            op for op in run["operators"] if op["type"] == TWO_PHASE_ONLY
+        ]
+        assert partial["rows_in"] == serial_aggregate["rows_in"]
         assert sum(run["shard_rows"]) == sum(
             payload["runs"][1]["shard_rows"]
         )  # every row routed exactly once, regardless of width

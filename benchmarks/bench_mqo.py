@@ -102,6 +102,12 @@ def _run(n: int, events: list, share_plans: bool) -> tuple[dict, list]:
     """Admit ``n`` queries, ingest the stream, time the ingest loop."""
     svc = _service(share_plans)
     queries = [svc.submit("bench", sql) for sql in pool_queries(n)]
+    # The service keeps no published history; a collecting subscriber
+    # per query gathers each delta stream for the equivalence check.
+    collectors = [
+        svc.subscribe(q.query_id, "collector", capacity=1 << 30)
+        for q in queries
+    ]
     start = time.perf_counter()
     for event in events:
         svc.ingest(event, "S")
@@ -118,9 +124,7 @@ def _run(n: int, events: list, share_plans: bool) -> tuple[dict, list]:
         "shared_subplans": session.shared_subplans(),
         "sharing_ratio": session.sharing_ratio(),
     }
-    deltas = [
-        q.flow.output_slice_of(q.output_id, 0) for q in queries
-    ]
+    deltas = [[d.change for d in c.take()] for c in collectors]
     return record, deltas
 
 

@@ -125,7 +125,7 @@ class ExecutionConfig:
       the structured slow-query log; ``0`` (the default) disables the
       check.
     * ``slow_query_depth`` — service mode: a standing query whose
-      subscriber buffer depth crosses this many undrained deltas is
+      undrained subscriber deltas cross this many is
       recorded in the slow-query log; ``0`` disables the check.
 
     Instances are frozen and hashable; derive variants with

@@ -72,6 +72,17 @@ def columnar_active(batch_size: int) -> bool:
     return batch_size > 1
 
 
+def retained_offset(base: int, position: int) -> int:
+    """Index of absolute changelog ``position`` in a list starting at
+    ``base``; positions below ``base`` were released and are gone."""
+    if position < base:
+        raise ExecutionError(
+            f"changelog position {position} was released (retained "
+            f"from {base})"
+        )
+    return position - base
+
+
 def merge_source_events(
     sources: dict[str, TimeVaryingRelation],
     until: Optional[Timestamp] = None,
@@ -183,11 +194,16 @@ class OutputChannel:
     the latency telemetry, and the plan whose completion columns drive
     it.  The physical operators below ``root`` may be shared with other
     channels of the same :class:`Dataflow`.
+
+    ``changes[i]`` sits at absolute changelog position ``base + i``:
+    a consumer that has taken the prefix may release it
+    (:meth:`Dataflow.release_output`), and every position the flow
+    reports — sizes, slices, lineage — stays absolute.
     """
 
     __slots__ = (
         "output_id", "plan", "root", "root_name", "completion",
-        "changes", "watermarks", "telemetry",
+        "changes", "base", "watermarks", "telemetry",
     )
 
     def __init__(self, output_id: str, plan: QueryPlan, root: Operator):
@@ -197,6 +213,7 @@ class OutputChannel:
         self.root_name = root.name()
         self.completion = plan.root.completion_indices
         self.changes: list[Change] = []
+        self.base = 0
         self.watermarks = WatermarkTrack()
         self.telemetry = RunTelemetry()
 
@@ -349,7 +366,8 @@ class Dataflow:
     @property
     def output_size(self) -> int:
         """Primary-output changes produced so far (a resumable cursor)."""
-        return len(self._outputs[self._primary].changes)
+        channel = self._outputs[self._primary]
+        return channel.base + len(channel.changes)
 
     def output_slice(self, start: int) -> list[Change]:
         """Primary-output changes produced since cursor position ``start``.
@@ -358,7 +376,8 @@ class Dataflow:
         output changes to the input event that caused them — the hook
         the sharded runtime's deterministic merge stage is built on.
         """
-        return self._outputs[self._primary].changes[start:]
+        channel = self._outputs[self._primary]
+        return channel.changes[retained_offset(channel.base, start):]
 
     @property
     def root_watermark(self) -> Timestamp:
@@ -370,10 +389,31 @@ class Dataflow:
         return list(self._outputs)
 
     def output_size_of(self, output_id: str) -> int:
-        return len(self._outputs[output_id].changes)
+        """Changes ``output_id`` has produced so far, released or not."""
+        channel = self._outputs[output_id]
+        return channel.base + len(channel.changes)
 
     def output_slice_of(self, output_id: str, start: int = 0) -> list[Change]:
-        return self._outputs[output_id].changes[start:]
+        """``output_id``'s changes from absolute position ``start`` on."""
+        channel = self._outputs[output_id]
+        return channel.changes[retained_offset(channel.base, start):]
+
+    def release_output(self, output_id: str, upto: int) -> None:
+        """Drop ``output_id``'s changes below absolute position ``upto``.
+
+        For consumers that read the changelog incrementally and never
+        look back (the service publishes each change once); a replay's
+        :meth:`result` keeps everything it never released.
+        """
+        channel = self._outputs[output_id]
+        if upto > channel.base + len(channel.changes):
+            raise ExecutionError(
+                f"cannot release position {upto} of {output_id!r}: not "
+                "produced yet"
+            )
+        if upto > channel.base:
+            del channel.changes[: upto - channel.base]
+            channel.base = upto
 
     def root_watermark_of(self, output_id: str) -> Timestamp:
         return self._outputs[output_id].watermarks.current
@@ -540,6 +580,7 @@ class Dataflow:
         if donor is not None:
             donor_primary = donor._outputs[donor._primary]
             channel.changes = list(donor_primary.changes)
+            channel.base = donor_primary.base
             channel.watermarks = donor_primary.watermarks
             channel.telemetry = donor_primary.telemetry
             new_ids = {id(op) for op in new_ops}
@@ -732,6 +773,7 @@ class Dataflow:
             "outputs": {
                 output_id: {
                     "changes": list(channel.changes),
+                    "base": channel.base,
                     "wm_pairs": channel.watermarks.as_pairs(),
                     "telemetry": channel.telemetry.snapshot(),
                     "node_ops": [
@@ -778,6 +820,8 @@ class Dataflow:
         for output_id, stored in payload["outputs"].items():
             channel = self._outputs[output_id]
             channel.changes = list(stored["changes"])
+            # Blobs cut before releases existed retain from position 0.
+            channel.base = stored.get("base", 0)
             channel.watermarks = WatermarkTrack()
             for ptime, value in stored["wm_pairs"]:
                 channel.watermarks.advance(ptime, value)
@@ -1302,7 +1346,7 @@ class Dataflow:
     ) -> None:
         if cause is not None and self.lineage is not None:
             if self._lineage_register_outputs:
-                start = len(channel.changes)
+                start = channel.base + len(channel.changes)
                 self.lineage.record_output(
                     cause, channel.output_id, range(start, start + len(changes))
                 )

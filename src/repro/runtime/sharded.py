@@ -55,7 +55,12 @@ from ..core.changelog import Change
 from ..core.errors import ExecutionError
 from ..core.times import MIN_TIMESTAMP, Timestamp
 from ..core.tvr import RowEvent, StreamEvent, TimeVaryingRelation, WatermarkEvent
-from ..exec.executor import Dataflow, RunResult, merge_source_events
+from ..exec.executor import (
+    Dataflow,
+    RunResult,
+    merge_source_events,
+    retained_offset,
+)
 from ..obs.lineage import LineageRecorder
 from ..obs.metrics import RecoveryStats, merge_shard_reports
 from ..obs.telemetry import RunTelemetry
@@ -83,12 +88,17 @@ __all__ = ["ShardedDataflow"]
 
 
 class _OutputMerge:
-    """Per-output merge state: the spliced changelog and its frontier."""
+    """Per-output merge state: the spliced changelog and its frontier.
 
-    __slots__ = ("merged", "frontier")
+    ``merged[i]`` sits at absolute position ``base + i`` (see
+    :meth:`ShardedDataflow.release_output`).
+    """
+
+    __slots__ = ("merged", "base", "frontier")
 
     def __init__(self, shards: int):
         self.merged: list[Change] = []
+        self.base = 0
         self.frontier = WatermarkFrontier(shards)
 
 
@@ -220,7 +230,7 @@ class ShardedDataflow:
     @property
     def output_size(self) -> int:
         """Merged primary-output changes so far (mirrors ``Dataflow``)."""
-        return len(self._merged_changes)
+        return self.output_size_of(self._primary)
 
     def output_slice(self, start: int = 0) -> list:
         """Merged primary-output changes from ``start`` (mirrors ``Dataflow``).
@@ -229,7 +239,7 @@ class ShardedDataflow:
         after each :meth:`process` yields every change exactly once —
         the incremental consumption contract service mode relies on.
         """
-        return list(self._merged_changes[start:])
+        return self.output_slice_of(self._primary, start)
 
     @property
     def root_watermark(self) -> Timestamp:
@@ -241,10 +251,30 @@ class ShardedDataflow:
         return list(self._outputs)
 
     def output_size_of(self, output_id: str) -> int:
-        return len(self._outputs[output_id].merged)
+        """Merged changes ``output_id`` has produced, released or not."""
+        merge = self._outputs[output_id]
+        return merge.base + len(merge.merged)
 
     def output_slice_of(self, output_id: str, start: int = 0) -> list[Change]:
-        return list(self._outputs[output_id].merged[start:])
+        """``output_id``'s merged changes from absolute position ``start``."""
+        merge = self._outputs[output_id]
+        return merge.merged[retained_offset(merge.base, start):]
+
+    def release_output(self, output_id: str, upto: int) -> None:
+        """Drop merged changes below absolute position ``upto`` (mirrors
+        ``Dataflow``), plus the shards' copies of ``output_id``, which
+        :meth:`process` has already spliced into the merged changelog."""
+        merge = self._outputs[output_id]
+        if upto > merge.base + len(merge.merged):
+            raise ExecutionError(
+                f"cannot release position {upto} of {output_id!r}: not "
+                "produced yet"
+            )
+        if upto > merge.base:
+            del merge.merged[: upto - merge.base]
+            merge.base = upto
+        for shard in self._shards:
+            shard.release_output(output_id, shard.output_size_of(output_id))
 
     def root_watermark_of(self, output_id: str) -> Timestamp:
         return self._outputs[output_id].frontier.current
@@ -414,6 +444,7 @@ class ShardedDataflow:
         if donor is not None:
             donor_merge = donor._outputs[donor._primary]
             merge.merged = donor_merge.merged
+            merge.base = donor_merge.base
             merge.frontier = donor_merge.frontier
             self._last_ptime = max(self._last_ptime, donor._last_ptime)
         self._outputs[output_id] = merge
@@ -505,7 +536,7 @@ class ShardedDataflow:
                         # fold them through the combine stage and splice
                         # the *final* changes instead.
                         produced = stage.feed(produced, merge.frontier.current)
-                    merged_at[oid] = len(merge.merged)
+                    merged_at[oid] = merge.base + len(merge.merged)
                     merge.merged.extend(produced)
                 if recorder is not None:
                     # Shard notes arrive in production order; walk each
@@ -516,7 +547,7 @@ class ShardedDataflow:
                             # The note counted partial payloads; what
                             # landed in the merged changelog is the
                             # combine stage's output for this event.
-                            count = len(self._outputs[oid].merged) - start
+                            count = self.output_size_of(oid) - start
                         recorder.record_output(
                             cause, oid, range(start, start + count)
                         )
@@ -790,6 +821,7 @@ class ShardedDataflow:
             "outputs": {
                 oid: {
                     "merged": list(merge.merged),
+                    "base": merge.base,
                     "frontier": merge.frontier.snapshot(),
                 }
                 for oid, merge in self._outputs.items()
@@ -829,6 +861,8 @@ class ShardedDataflow:
         for oid, stored in payload["outputs"].items():
             merge = self._outputs[oid]
             merge.merged = list(stored["merged"])
+            # Blobs cut before releases existed retain from position 0.
+            merge.base = stored.get("base", 0)
             merge.frontier.restore(stored["frontier"])
         self._last_ptime = payload["last_ptime"]
         stored_stages = payload["stages"]

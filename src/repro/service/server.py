@@ -21,7 +21,8 @@ Wire protocol (one JSON object per line, both directions)::
     ← {"ok": true, "query": "q1", "schema": ["bidder", "total"]}
     → {"op": "subscribe", "query": "q1", "subscriber": "alice-1"}
     ← {"ok": true, "subscriber": "alice-1", "cursor": 0}
-    ← {"delta": {"seq": 0, "ptime": ..., "kind": "insert", "values": [...]}}
+    ← {"query": "q1", "delta": {"seq": 0, "ptime": ..., "kind": "insert",
+       "values": [...]}}
     → {"op": "ingest", "source": "bid", "event": "{\\"ptime\\": ...}"}
     ← {"ok": true, "published": {"q1": 2}}
 
@@ -232,8 +233,10 @@ class ServiceServer:
         self.host = host
         self.port = port
         self._server: Optional[asyncio.AbstractServer] = None
-        #: (query_id, subscriber_id, writer) triples with a live stream.
-        self._streams: list[tuple[str, str, asyncio.StreamWriter]] = []
+        #: (query_id, subscriber, writer) triples with a live stream.
+        self._streams: list[tuple[str, Subscriber, asyncio.StreamWriter]] = []
+        #: default subscriber ids ("sub-N") already handed out; never reused.
+        self._subscriber_ids = 0
         self.sources: list[LiveSource] = []
         self._tail_tasks: list[asyncio.Task] = []
         #: (source, listening server) pairs from :meth:`listen_source`.
@@ -398,8 +401,14 @@ class ServiceServer:
                 await self._send(writer, response)
                 await self._flush_subscribers()
         finally:
+            # A closed connection's subscribers leave the registry too:
+            # left behind they would fill up, count as slow-consumer
+            # evictions, and pin their query's broadcast log.
+            for _, subscriber, owner in self._streams:
+                if owner is writer:
+                    subscriber.detach()
             self._streams = [
-                (q, s, w) for (q, s, w) in self._streams if w is not writer
+                stream for stream in self._streams if stream[2] is not writer
             ]
             self._authed.pop(writer, None)
             writer.close()
@@ -464,11 +473,12 @@ class ServiceServer:
                 }
             if op == "subscribe":
                 query_id = request["query"]
-                subscriber = self.service.subscribe(
-                    query_id,
-                    request.get("subscriber", f"sub-{len(self._streams) + 1}"),
-                )
-                self._streams.append((query_id, subscriber.id, writer))
+                subscriber_id = request.get("subscriber")
+                if subscriber_id is None:
+                    self._subscriber_ids += 1
+                    subscriber_id = f"sub-{self._subscriber_ids}"
+                subscriber = self.service.subscribe(query_id, subscriber_id)
+                self._streams.append((query_id, subscriber, writer))
                 return {
                     "ok": True,
                     "subscriber": subscriber.id,
@@ -521,26 +531,67 @@ class ServiceServer:
                 "detail": str(exc)}}
 
     async def _send(self, writer: asyncio.StreamWriter, payload: dict) -> None:
-        writer.write((json.dumps(payload) + "\n").encode("utf-8"))
+        writer.write(_wire_line(payload))
         await writer.drain()
 
     async def _flush_subscribers(self) -> None:
-        """Push drained deltas to every streaming connection."""
-        for query_id, subscriber_id, writer in list(self._streams):
-            query = self.service.session.get(query_id)
-            if query is None:
-                continue
-            subscriber = query.subscriptions.get(subscriber_id)
-            if subscriber is None or subscriber.evicted:
-                if subscriber is not None and subscriber.evicted:
-                    await self._send(writer, {"evicted": subscriber_id,
-                                              "query": query_id})
-                    self._streams.remove((query_id, subscriber_id, writer))
-                continue
-            for delta in subscriber.take():
-                await self._send(
-                    writer, {"query": query_id, "delta": delta.as_dict()}
-                )
+        """Push drained deltas to every streaming connection.
+
+        Each delta's wire line is rendered once per query and reused for
+        every subscriber that reads it; a connection's lines (deltas and
+        ``{"evicted": ...}`` notices, in ``_streams`` order) go out in a
+        single ``write``.  All takes and writes happen before the first
+        ``await``, so two concurrent flushes — the pump's and a control
+        handler's — can never interleave lines on a connection.
+        """
+        pending: dict[asyncio.StreamWriter, list[bytes]] = {}
+        #: (query, first seq) -> the joined lines of a run; a flush reads
+        #: every subscriber up to its log's head, so the start names it.
+        blocks: dict[tuple[str, int], bytes] = {}
+        #: query -> seq -> wire line, for runs that start mid-block.
+        lines: dict[str, dict[int, bytes]] = {}
+        last_writer = None
+        chunks: list[bytes] = []
+        for stream in list(self._streams):
+            query_id, subscriber, writer = stream
+            if subscriber.evicted:
+                if not subscriber.attached:
+                    continue  # unsubscribed or withdrawn: nothing to say
+                out = _wire_line({"evicted": subscriber.id, "query": query_id})
+                self._streams.remove(stream)
+            else:
+                start = subscriber.cursor
+                deltas = subscriber.take()
+                if not deltas:
+                    continue
+                out = blocks.get((query_id, start))
+                if out is None:
+                    rendered = lines.setdefault(query_id, {})
+                    parts = []
+                    for delta in deltas:
+                        line = rendered.get(delta.seq)
+                        if line is None:
+                            line = rendered[delta.seq] = _wire_line(
+                                {"query": query_id, "delta": delta.as_dict()}
+                            )
+                        parts.append(line)
+                    out = blocks[(query_id, start)] = b"".join(parts)
+            if writer is not last_writer:
+                chunks = pending.setdefault(writer, [])
+                last_writer = writer
+            chunks.append(out)
+        for writer, chunks in pending.items():
+            writer.write(b"".join(chunks))
+        for writer in pending:
+            try:
+                await writer.drain()
+            except ConnectionError:
+                pass  # a lost connection's own handler detaches its streams
+
+
+def _wire_line(payload: dict) -> bytes:
+    """One protocol message: compact JSON plus the newline terminator."""
+    return (json.dumps(payload) + "\n").encode("utf-8")
 
 
 async def run_service(

@@ -116,11 +116,17 @@ class StandingQuery:
         return self.flow.state_rows_of(self.output_id)
 
     def publish_pending(self) -> list[Delta]:
-        """Publish changes the flow produced past the cursor."""
+        """Publish changes the flow produced past the cursor.
+
+        The flow then releases them: from here on the subscription log
+        holds whatever a subscriber has not read yet, so the flow's
+        output channel never retains published history.
+        """
         produced = self.flow.output_slice_of(self.output_id, self.cursor)
-        self.cursor = self.flow.output_size_of(self.output_id)
         if not produced:
             return []
+        self.cursor += len(produced)
+        self.flow.release_output(self.output_id, self.cursor)
         return self.subscriptions.publish(produced)
 
     def describe(self) -> dict:
@@ -382,8 +388,10 @@ class SessionManager:
         if catch_up:
             query.cursor = flow.output_size_of(query_id)
             # History deltas are never delivered; delta seq numbers line
-            # up with changelog positions, so seek past the prefix.
+            # up with changelog positions, so seek past the prefix and
+            # let the flow drop it.
             query.subscriptions.seek(query.cursor)
+            flow.release_output(query_id, query.cursor)
         self._queries[query_id] = query
         self._next_id += 1
         return query
@@ -392,6 +400,7 @@ class SessionManager:
         query = self._queries.pop(query_id, None)
         if query is None:
             return False
+        query.subscriptions.close()
         # Ref-counted teardown: only operators no surviving member
         # reads are closed and dropped; shared state is untouched.
         self.plan_cache.drop_member(query_id)
@@ -735,4 +744,5 @@ class SessionManager:
             query.shared_group = record.members
             query.cursor = spec["cursor"]
             query.subscriptions.seek(spec["next_seq"])
+            flow.release_output(member, query.cursor)
             self._queries[member] = query

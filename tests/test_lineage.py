@@ -29,6 +29,8 @@ from .test_mqo import (
     Q_SUM,
     Q_SUM_ALIASED,
     SCHEMA,
+    PublishingService,
+    expected_from,
     make_events,
     oneshot_changes,
     query_changes,
@@ -46,7 +48,11 @@ def run_standing(events, sqls, config, tenant="t"):
     ]
     for event in events:
         svc.ingest(event, "S")
-    changelogs = [query_changes(q) for q in queries]
+    changelogs = []
+    for query in queries:
+        start, changes = query_changes(query)
+        assert start == 0  # admitted before the first event
+        changelogs.append(changes)
     deltas = [
         [(d.seq, d.change) for d in sub.take()] for sub in subscribers
     ]
@@ -224,7 +230,9 @@ class TestCheckpointRestore:
             resumed.ingest(event, "S")
         after = recorder.traced_positions(query.query_id)
         assert len(after) >= len(before)
-        assert query_changes(restored) == oneshot_changes(events, Q_SUM)
+        assert query_changes(restored) == expected_from(
+            restored, oneshot_changes(events, Q_SUM)
+        )
 
     def test_sharded_lineage_survives_restore(self, tmp_path):
         config = ExecutionConfig(
@@ -243,16 +251,17 @@ class TestCheckpointRestore:
         assert restored.flow.lineage is not None
         for event in events[25:]:
             resumed.ingest(event, "S")
-        assert query_changes(restored) == oneshot_changes(events, Q_SUM, 2)
+        assert query_changes(restored) == expected_from(
+            restored, oneshot_changes(events, Q_SUM, 2)
+        )
         assert restored.flow.lineage.traced_positions(query.query_id)
 
 
 def StandingQueryService_resume(config):
     """A fresh service resumed from ``config.checkpoint_dir``."""
-    from repro.service import StandingQueryService
     from repro.service.admission import TenantPolicy
 
-    svc = StandingQueryService(
+    svc = PublishingService(
         config=config,
         default_policy=TenantPolicy(name="*", max_standing_queries=8),
     )

@@ -17,6 +17,7 @@ Three layers under test, mirroring docs/MQO.md:
 
 import json
 import os
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -79,10 +80,43 @@ def make_events(n, start=1_000_000):
     return events
 
 
+#: standing query -> (seq at admission or resume, deltas published since)
+_PUBLISHED = weakref.WeakKeyDictionary()
+
+
+class PublishingService(StandingQueryService):
+    """A service that keeps every delta ``ingest`` publishes, per query.
+
+    The service retains neither a query's published changelog nor the
+    history before its admission, so equivalence checks compare what
+    it actually delivered: the deltas each ``ingest`` returned.
+    """
+
+    def _track(self, query):
+        _PUBLISHED[query] = (query.subscriptions.next_seq, [])
+
+    def submit(self, *args, **kwargs):
+        query = super().submit(*args, **kwargs)
+        self._track(query)
+        return query
+
+    def resume(self, directory=None):
+        count = super().resume(directory)
+        for query in self.session.queries():
+            self._track(query)
+        return count
+
+    def ingest(self, event, source):
+        published = super().ingest(event, source)
+        for query_id, deltas in published.items():
+            _PUBLISHED[self.session.get(query_id)][1].extend(deltas)
+        return published
+
+
 def service_with_source(config=None, max_queries=8):
     from repro.service.admission import TenantPolicy
 
-    svc = StandingQueryService(
+    svc = PublishingService(
         config=config,
         default_policy=TenantPolicy(name="*", max_standing_queries=max_queries),
     )
@@ -99,7 +133,25 @@ def oneshot_changes(events, sql, parallelism=1):
 
 
 def query_changes(query):
-    return query.flow.output_slice_of(query.output_id, 0)
+    """``(first seq, changes)`` the service published for ``query``.
+
+    The first seq is the query's position at admission (or resume);
+    the deltas since are gap-free and end at the flow's absolute
+    output position.
+    """
+    start, deltas = _PUBLISHED[query]
+    end = query.subscriptions.next_seq
+    assert end == query.flow.output_size_of(query.output_id)
+    assert [d.seq for d in deltas] == list(range(start, end))
+    return start, [d.change for d in deltas]
+
+
+def expected_from(query, expected):
+    """One-shot changelog ``expected`` as the service publishes it for
+    ``query``: from its admission (or resume) position on, because the
+    history before that is never delivered."""
+    start = _PUBLISHED[query][0]
+    return start, expected[start:]
 
 
 class TestFingerprints:
@@ -195,8 +247,12 @@ class TestSharing:
         events = make_events(40)
         for event in events:
             svc.ingest(event, "S")
-        assert query_changes(q_sum) == oneshot_changes(events, Q_SUM)
-        assert query_changes(q_max) == oneshot_changes(events, Q_MAX)
+        assert query_changes(q_sum) == expected_from(
+            q_sum, oneshot_changes(events, Q_SUM)
+        )
+        assert query_changes(q_max) == expected_from(
+            q_max, oneshot_changes(events, Q_MAX)
+        )
 
     def test_different_window_spec_never_merges(self):
         svc = service_with_source()
@@ -213,8 +269,12 @@ class TestSharing:
         events = make_events(40)
         for event in events:
             svc.ingest(event, "S")
-        assert query_changes(q1) == oneshot_changes(events, Q_SUM)
-        assert query_changes(q2) == oneshot_changes(events, Q_SUM_3MIN)
+        assert query_changes(q1) == expected_from(
+            q1, oneshot_changes(events, Q_SUM)
+        )
+        assert query_changes(q2) == expected_from(
+            q2, oneshot_changes(events, Q_SUM_3MIN)
+        )
 
     def test_lateness_mismatch_blocks_sharing(self):
         svc = service_with_source()
@@ -236,8 +296,12 @@ class TestSharing:
         assert q2.flow is q1.flow
         for event in events[30:]:
             svc.ingest(event, "S")
-        assert query_changes(q1) == oneshot_changes(events, Q_SUM)
-        assert query_changes(q2) == oneshot_changes(events, Q_MAX)
+        assert query_changes(q1) == expected_from(
+            q1, oneshot_changes(events, Q_SUM)
+        )
+        assert query_changes(q2) == expected_from(
+            q2, oneshot_changes(events, Q_MAX)
+        )
 
 
 class TestWithdrawal:
@@ -254,7 +318,9 @@ class TestWithdrawal:
         assert svc.withdraw(q1.query_id)
         for event in events[30:]:
             svc.ingest(event, "S")
-        assert query_changes(q2) == oneshot_changes(events, Q_SUM_ALIASED)
+        assert query_changes(q2) == expected_from(
+            q2, oneshot_changes(events, Q_SUM_ALIASED)
+        )
 
     def test_withdrawing_an_interior_sharer_preserves_the_survivor(self):
         events = make_events(60)
@@ -272,7 +338,9 @@ class TestWithdrawal:
         assert flow.shared_operator_count() == 0
         for event in events[30:]:
             svc.ingest(event, "S")
-        assert query_changes(q_max) == oneshot_changes(events, Q_MAX)
+        assert query_changes(q_max) == expected_from(
+            q_max, oneshot_changes(events, Q_MAX)
+        )
 
     def test_withdrawing_every_member_drops_the_flow(self):
         svc = service_with_source()
@@ -373,16 +441,22 @@ class TestSharingDurability:
         assert set(entry["members"]) >= {ids[0], ids[1]}
         assert set(entry["sharing"]) == set(entry["members"])
 
-        resumed = StandingQueryService(config=config)
+        resumed = PublishingService(config=config)
         count = resumed.resume()
         assert count == 3
         q1, q2, q3 = (resumed.session.get(i) for i in ids)
         assert q1.flow is q2.flow  # sharing structure survived restore
         for event in events[30:]:
             resumed.ingest(event, "S")
-        assert query_changes(q1) == oneshot_changes(events, Q_SUM)
-        assert query_changes(q2) == oneshot_changes(events, Q_SUM_ALIASED)
-        assert query_changes(q3) == oneshot_changes(events, Q_MAX)
+        assert query_changes(q1) == expected_from(
+            q1, oneshot_changes(events, Q_SUM)
+        )
+        assert query_changes(q2) == expected_from(
+            q2, oneshot_changes(events, Q_SUM_ALIASED)
+        )
+        assert query_changes(q3) == expected_from(
+            q3, oneshot_changes(events, Q_MAX)
+        )
 
     def test_serial_restore_preserves_sharing_and_equivalence(self, tmp_path):
         self.run_checkpoint_cycle(tmp_path, parallelism=1)

@@ -239,7 +239,8 @@ class TestServerProtocol:
         eng = StreamEngine()
         eng.register_stream("Bid", bid_stream)
         expected = eng.query(WINDOWED_MAX).run().changes
-        assert query.flow.output_slice(0) == expected
+        # the flow keeps no published history, only absolute positions
+        assert query.flow.output_size == len(expected)
         assert [d.change for d in subscriber.take()] == expected
 
 
@@ -539,7 +540,8 @@ class TestListenSource:
         eng = StreamEngine()
         eng.register_stream("Bid", bid_stream)
         expected = eng.query(WINDOWED_MAX).run().changes
-        assert query.flow.output_slice(0) == expected
+        # the flow keeps no published history, only absolute positions
+        assert query.flow.output_size == len(expected)
         assert [d.change for d in subscriber.take()] == expected
 
     def test_socket_and_tail_share_one_source(self, bid_stream, tmp_path):
@@ -557,6 +559,7 @@ class TestListenSource:
             server = ServiceServer(service, "127.0.0.1", 0)
             await server.start()
             query = service.submit("alice", WINDOWED_MAX)
+            sink = service.subscribe(query.query_id, "sink", capacity=1 << 30)
             server.add_tail("Bid", str(feed))
             await server.listen_source("Bid", "127.0.0.1", 0)
             assert len(server.sources) == 1  # one queue, two producers
@@ -573,13 +576,13 @@ class TestListenSource:
             server._follow = False
             await server.drain()
             await server.stop()
-            return query
+            return sink
 
-        query = asyncio.run(drive())
+        sink = asyncio.run(drive())
         eng = StreamEngine()
         eng.register_stream("Bid", bid_stream)
         expected = eng.query(WINDOWED_MAX).run().changes
-        assert query.flow.output_slice(0) == expected
+        assert [d.change for d in sink.take()] == expected
 
     def test_listen_source_requires_registered_source(self, bid_stream):
         service = empty_service(bid_stream)
@@ -620,3 +623,380 @@ class TestListenSource:
         assert off.share_plans is False
         assert unset.share_plans is None
         assert unset.resolved().share_plans is True
+
+
+PASSTHROUGH = "SELECT * FROM Bid EMIT STREAM"
+
+
+class RecordingWriter:
+    """The slice of ``asyncio.StreamWriter`` a flush uses, recorded.
+
+    ``drain`` blocks while ``paused`` is set — a transport above its
+    high-water mark — so a test can hold one flush mid-drain and run a
+    second one concurrently.
+    """
+
+    def __init__(self):
+        self.writes: list[bytes] = []
+        self.resumed = asyncio.Event()
+        self.resumed.set()
+
+    def write(self, data: bytes) -> None:
+        self.writes.append(data)
+
+    async def drain(self) -> None:
+        await self.resumed.wait()
+
+    @property
+    def data(self) -> bytes:
+        return b"".join(self.writes)
+
+
+def reference_line(payload: dict) -> bytes:
+    """One wire line as the per-line sender rendered it."""
+    return (json.dumps(payload) + "\n").encode("utf-8")
+
+
+def reference_delta(query_id: str, delta) -> bytes:
+    change = delta.change
+    return reference_line({"query": query_id, "delta": {
+        "seq": delta.seq,
+        "ptime": change.ptime,
+        "kind": "insert" if change.is_insert else "retract",
+        "values": list(change.values),
+    }})
+
+
+class TestFanOutWire:
+    """The encode-once flush is byte-identical to rendering and sending
+    every line of every subscriber separately, in ``_streams`` order."""
+
+    def fanout(self, bid_stream, capacity=None):
+        config = (
+            ExecutionConfig(subscriber_capacity=capacity)
+            if capacity is not None
+            else None
+        )
+        service = empty_service(bid_stream, config=config)
+        server = ServiceServer(service, "127.0.0.1", 0)
+        queries = [
+            service.submit("t", PASSTHROUGH),
+            service.submit("t", WINDOWED_MAX),
+        ]
+        return service, server, queries
+
+    @staticmethod
+    async def subscribe(server, query, writer, subscriber_id=None):
+        request = {"op": "subscribe", "query": query.query_id}
+        if subscriber_id is not None:
+            request["subscriber"] = subscriber_id
+        response = await server._dispatch(request, writer)
+        assert response["ok"], response
+        return response["subscriber"]
+
+    def test_bytes_match_per_line_rendering_with_evictions(self, bid_stream):
+        service, server, (q_all, q_max) = self.fanout(bid_stream)
+        events = bid_stream.events()
+
+        async def drive():
+            one, two = RecordingWriter(), RecordingWriter()
+            # interleave queries and connections
+            layout = [
+                (q_all, one, "a"), (q_max, two, "b"), (q_all, two, "c"),
+                (q_max, one, "slow"), (q_max, one, "d"),
+            ]
+            for query, writer, name in layout:
+                await self.subscribe(server, query, writer, name)
+            # "slow" overflows on the first event that updates a window
+            # (a retraction plus an insertion) before any flush drains it
+            q_max.subscriptions.get("slow").capacity = 1
+            published = {q_all.query_id: [], q_max.query_id: []}
+            expected = {one: [], two: []}
+            flushes = []
+            slow_noticed = False
+            for index, event in enumerate(events):
+                for query_id, deltas in service.ingest(event, "Bid").items():
+                    published[query_id].extend(deltas)
+                if index % 3 == 1:
+                    continue  # let some flushes carry several events
+                # the reference: each stream in order, one line per delta
+                for query, writer, name in layout:
+                    subscriber = query.subscriptions.get(name)
+                    if subscriber.evicted:
+                        if not slow_noticed:
+                            expected[writer].append(reference_line(
+                                {"evicted": name, "query": query.query_id}
+                            ))
+                            slow_noticed = True
+                        continue
+                    expected[writer].extend(
+                        reference_delta(query.query_id, d)
+                        for d in published[query.query_id]
+                        if d.seq >= subscriber.cursor
+                    )
+                before = {one: len(one.writes), two: len(two.writes)}
+                await server._flush_subscribers()
+                flushes.append(
+                    {w: len(w.writes) - before[w] for w in (one, two)}
+                )
+            return one, two, expected, flushes
+
+        one, two, expected, flushes = asyncio.run(drive())
+        assert q_max.subscriptions.get("slow").evicted
+        assert b'{"evicted": "slow"' in one.data
+        assert one.data == b"".join(expected[one])
+        assert two.data == b"".join(expected[two])
+        # one write per connection per flush that has anything to send
+        assert all(count <= 1 for flush in flushes for count in flush.values())
+        assert any(flush[one] == 1 and flush[two] == 1 for flush in flushes)
+
+    def test_one_write_per_connection_per_flush(self, bid_stream):
+        service, server, queries = self.fanout(bid_stream)
+
+        async def drive():
+            writers = [RecordingWriter() for _ in range(3)]
+            for i in range(12):
+                await self.subscribe(
+                    server, queries[i % 2], writers[i % 3], f"s{i}"
+                )
+            for event in bid_stream.events():
+                service.ingest(event, "Bid")
+            await server._flush_subscribers()
+            return writers
+
+        writers = asyncio.run(drive())
+        assert [len(w.writes) for w in writers] == [1, 1, 1]
+        for writer in writers:
+            assert writer.data.count(b"\n") > 4
+
+    @pytest.mark.parametrize("subscribers", [1, 16])
+    def test_json_encodes_each_delta_once(
+        self, bid_stream, monkeypatch, subscribers
+    ):
+        import types
+
+        import repro.service.server as server_module
+
+        service, server, queries = self.fanout(bid_stream)
+        calls = []
+
+        def counting_dumps(payload, **kwargs):
+            calls.append(payload)
+            return json.dumps(payload, **kwargs)
+
+        monkeypatch.setattr(
+            server_module,
+            "json",
+            types.SimpleNamespace(dumps=counting_dumps, loads=json.loads),
+        )
+
+        async def drive():
+            writer = RecordingWriter()
+            for i in range(subscribers):
+                for query in queries:
+                    await self.subscribe(server, query, writer, f"s{i}")
+            published = 0
+            for event in bid_stream.events():
+                published += sum(
+                    len(d) for d in service.ingest(event, "Bid").values()
+                )
+                await server._flush_subscribers()
+            return writer, published
+
+        writer, published = asyncio.run(drive())
+        assert published > 0
+        assert len(calls) == published
+        assert writer.data.count(b"\n") == published * subscribers
+
+    def test_concurrent_flushes_never_reorder_lines(self, bid_stream):
+        """A flush blocked in ``drain`` on a paused transport must not
+        let a second flush's lines overtake its own."""
+        service, server, (q_all, q_max) = self.fanout(bid_stream)
+        events = bid_stream.events()
+        half = len(events) // 2
+
+        async def drive():
+            writer = RecordingWriter()
+            for query in (q_all, q_max):
+                await self.subscribe(server, query, writer, "s")
+            writer.resumed.clear()  # the transport stops draining
+            for event in events[:half]:
+                service.ingest(event, "Bid")
+            first = asyncio.ensure_future(server._flush_subscribers())
+            await asyncio.sleep(0)
+            for event in events[half:]:
+                service.ingest(event, "Bid")
+            second = asyncio.ensure_future(server._flush_subscribers())
+            await asyncio.sleep(0)
+            writer.resumed.set()
+            await asyncio.gather(first, second)
+            return writer
+
+        writer = asyncio.run(drive())
+        seqs = {q_all.query_id: [], q_max.query_id: []}
+        for line in writer.data.splitlines():
+            message = json.loads(line)
+            seqs[message["query"]].append(message["delta"]["seq"])
+        for query in (q_all, q_max):
+            assert seqs[query.query_id] == list(
+                range(query.subscriptions.next_seq)
+            )
+
+
+class TestSubscriberLifecycle:
+    """Default ids never repeat, and a closed connection's subscribers
+    leave the registry."""
+
+    @staticmethod
+    async def connect(server):
+        """A client connection: ``rpc`` returns the response and keeps
+        the delta lines that arrive before it in ``deltas``."""
+        host, port = server.address
+        reader, writer = await asyncio.open_connection(host, port)
+        deltas = []
+
+        async def read_pending():
+            while True:
+                try:
+                    raw = await asyncio.wait_for(reader.readline(), 0.1)
+                except asyncio.TimeoutError:
+                    return deltas
+                if not raw:
+                    return deltas
+                deltas.append(json.loads(raw)["delta"])
+
+        async def rpc(payload):
+            writer.write((json.dumps(payload) + "\n").encode())
+            await writer.drain()
+            while True:
+                message = json.loads(await reader.readline())
+                if "delta" not in message:
+                    return message
+                deltas.append(message["delta"])
+
+        return writer, rpc, read_pending
+
+    def test_default_ids_are_not_reused_after_disconnect(self, bid_stream):
+        service = empty_service(bid_stream)
+        feed = [
+            line
+            for line in format_jsonl(bid_stream).splitlines()
+            if "schema" not in line
+        ]
+
+        async def drive():
+            server = ServiceServer(service, "127.0.0.1", 0)
+            await server.start()
+            try:
+                wa, rpc_a, _ = await self.connect(server)
+                wb, rpc_b, pending_b = await self.connect(server)
+                admitted = await rpc_a(
+                    {"op": "submit", "tenant": "t", "sql": PASSTHROUGH}
+                )
+                query_id = admitted["query"]
+                a = await rpc_a({"op": "subscribe", "query": query_id})
+                b = await rpc_b({"op": "subscribe", "query": query_id})
+                wa.close()
+                query = service.session.get(query_id)
+                for _ in range(100):
+                    if query.subscriptions.get(a["subscriber"]) is None:
+                        break
+                    await asyncio.sleep(0.01)
+                wc, rpc_c, pending_c = await self.connect(server)
+                c = await rpc_c({"op": "subscribe", "query": query_id})
+                for line in feed:
+                    await rpc_b(
+                        {"op": "ingest", "source": "Bid", "event": line}
+                    )
+                c_deltas = await pending_c()
+                b_deltas = await pending_b()
+                wb.close()
+                wc.close()
+                return a, b, c, b_deltas, c_deltas, query
+            finally:
+                await server.stop()
+
+        a, b, c, b_deltas, c_deltas, query = asyncio.run(drive())
+        assert (a["subscriber"], b["subscriber"]) == ("sub-1", "sub-2")
+        assert c["subscriber"] == "sub-3"
+        assert query.subscriptions.next_seq > 0
+        # B's own stream survived C's arrival, and C got every delta
+        assert len(c_deltas) == query.subscriptions.next_seq
+        assert [d["seq"] for d in b_deltas] == [d["seq"] for d in c_deltas]
+
+    def test_closed_connection_unsubscribes(self, bid_stream):
+        service = empty_service(
+            bid_stream, config=ExecutionConfig(subscriber_capacity=2)
+        )
+
+        async def drive():
+            server = ServiceServer(service, "127.0.0.1", 0)
+            await server.start()
+            try:
+                writer, rpc, _ = await self.connect(server)
+                admitted = await rpc(
+                    {"op": "submit", "tenant": "t", "sql": PASSTHROUGH}
+                )
+                query = service.session.get(admitted["query"])
+                await rpc({"op": "subscribe", "query": query.query_id,
+                           "subscriber": "gone"})
+                assert query.subscriptions.live_count == 1
+                writer.close()
+                for _ in range(100):
+                    if not server._streams:
+                        break
+                    await asyncio.sleep(0.01)
+                return server, query
+            finally:
+                await server.stop()
+
+        server, query = asyncio.run(drive())
+        assert server._streams == []
+        assert query.subscriptions.get("gone") is None
+        for event in bid_stream.events():
+            service.ingest(event, "Bid")
+        # nothing left to fill up, be evicted, or pin the log
+        assert query.subscriptions.evictions == 0
+        assert query.subscriptions.log_size == 0
+        assert query.subscriptions.next_seq > 2
+
+    def test_closing_a_replaced_subscription_keeps_the_new_owner(
+        self, bid_stream
+    ):
+        """Re-subscribing an id from a second connection replaces the
+        first subscriber; the first connection closing later must not
+        detach the second's."""
+        service = empty_service(bid_stream)
+
+        async def drive():
+            server = ServiceServer(service, "127.0.0.1", 0)
+            await server.start()
+            try:
+                first, rpc_first, _ = await self.connect(server)
+                second, rpc_second, pending = await self.connect(server)
+                admitted = await rpc_first(
+                    {"op": "submit", "tenant": "t", "sql": PASSTHROUGH}
+                )
+                query = service.session.get(admitted["query"])
+                for rpc in (rpc_first, rpc_second):
+                    await rpc({"op": "subscribe", "query": query.query_id,
+                               "subscriber": "x"})
+                owner = query.subscriptions.get("x")
+                first.close()
+                for _ in range(100):
+                    if len(server._streams) == 1:
+                        break
+                    await asyncio.sleep(0.01)
+                for event in bid_stream.events():
+                    service.ingest(event, "Bid")
+                await server._flush_subscribers()
+                deltas = await pending()
+                kept = query.subscriptions.get("x") is owner
+                second.close()
+                return query, kept, deltas
+            finally:
+                await server.stop()
+
+        query, kept, deltas = asyncio.run(drive())
+        assert kept
+        assert len(deltas) == query.subscriptions.next_seq > 0

@@ -82,16 +82,29 @@ def service_with_empty_source(config=None, schema=SCHEMA, name="S"):
     return svc
 
 
+def collector(svc, query):
+    """A subscriber that never falls behind: the service keeps no
+    published history, so equivalence checks read what it delivered."""
+    return svc.subscribe(query.query_id, "collector", capacity=1 << 30)
+
+
+def drain(subscriber):
+    """``(first seq, changes)`` of everything ``subscriber`` has not read."""
+    start = subscriber.cursor
+    return start, [d.change for d in subscriber.take()]
+
+
 class TestIncrementalEquivalence:
     def test_serial_matches_oneshot_paper_stream(self, bid_stream):
         svc = service_with_empty_source(schema=bid_stream.schema, name="Bid")
         query = svc.submit("alice", WINDOWED_MAX)
+        sink = collector(svc, query)
         for event in bid_stream.events():
             svc.ingest(event, "Bid")
         eng = StreamEngine()
         eng.register_stream("Bid", bid_stream)
         expected = eng.query(WINDOWED_MAX).run().changes
-        assert query.flow.output_slice(0) == expected
+        assert drain(sink) == (0, expected)
 
     def test_sharded_matches_oneshot_paper_stream(self, bid_stream):
         svc = service_with_empty_source(schema=bid_stream.schema, name="Bid")
@@ -99,11 +112,12 @@ class TestIncrementalEquivalence:
             "alice", WINDOWED_MAX, config=ExecutionConfig(parallelism=3)
         )
         assert query.sharded
+        sink = collector(svc, query)
         for event in bid_stream.events():
             svc.ingest(event, "Bid")
         eng = StreamEngine()
         eng.register_stream("Bid", bid_stream)
-        assert query.flow.output_slice(0) == eng.query(WINDOWED_MAX).run().changes
+        assert drain(sink) == (0, eng.query(WINDOWED_MAX).run().changes)
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -117,10 +131,11 @@ class TestIncrementalEquivalence:
         )
         query = svc.submit("t", KEYED_WINDOW_SUM)
         assert query.sharded == (parallelism > 1)
+        sink = collector(svc, query)
         for event in events:
             svc.ingest(event, "S")
-        assert query.flow.output_slice(0) == oneshot_changes(
-            events, KEYED_WINDOW_SUM, parallelism
+        assert drain(sink) == (
+            0, oneshot_changes(events, KEYED_WINDOW_SUM, parallelism)
         )
 
     def test_unrelated_source_events_keep_equivalence(self, bid_stream):
@@ -128,13 +143,14 @@ class TestIncrementalEquivalence:
         svc = service_with_empty_source(schema=bid_stream.schema, name="Bid")
         svc.register_stream("Other", TimeVaryingRelation(SCHEMA))
         query = svc.submit("t", WINDOWED_MAX)
+        sink = collector(svc, query)
         for i, event in enumerate(bid_stream.events()):
             svc.ingest(event, "Bid")
             if i == 3:
                 svc.ingest(ins(event.ptime, (1, event.ptime, 5)), "Other")
         eng = StreamEngine()
         eng.register_stream("Bid", bid_stream)
-        assert query.flow.output_slice(0) == eng.query(WINDOWED_MAX).run().changes
+        assert drain(sink) == (0, eng.query(WINDOWED_MAX).run().changes)
 
     def test_late_registration_catches_up(self, bid_stream):
         """A query admitted mid-stream replays history before going live."""
@@ -143,11 +159,16 @@ class TestIncrementalEquivalence:
         for event in events[: len(events) // 2]:
             svc.ingest(event, "Bid")
         query = svc.submit("late", WINDOWED_MAX)
+        sink = collector(svc, query)
         for event in events[len(events) // 2 :]:
             svc.ingest(event, "Bid")
         eng = StreamEngine()
         eng.register_stream("Bid", bid_stream)
-        assert query.flow.output_slice(0) == eng.query(WINDOWED_MAX).run().changes
+        expected = eng.query(WINDOWED_MAX).run().changes
+        # the caught-up history sits below the join cursor, undelivered
+        start, changes = drain(sink)
+        assert changes == expected[start:]
+        assert query.flow.output_size == len(expected)
 
     def test_coalesce_config_flows_through(self, bid_stream):
         config = ExecutionConfig(coalesce_updates=True)
@@ -155,13 +176,14 @@ class TestIncrementalEquivalence:
             config=config, schema=bid_stream.schema, name="Bid"
         )
         query = svc.submit("t", WINDOWED_MAX)
+        sink = collector(svc, query)
         for event in bid_stream.events():
             svc.ingest(event, "Bid")
         eng = StreamEngine(config=config)
         eng.register_stream("Bid", bid_stream)
         with pytest.warns(UserWarning):
             expected = eng.query(WINDOWED_MAX).run().changes
-        assert query.flow.output_slice(0) == expected
+        assert drain(sink) == (0, expected)
 
 
 class TestSubscriptions:
@@ -190,7 +212,10 @@ class TestSubscriptions:
             svc.ingest(event, "Bid")
         deltas = subscriber.take()
         assert [d.seq for d in deltas] == list(range(len(deltas)))
-        assert [d.change for d in deltas] == query.flow.output_slice(0)
+        eng = StreamEngine()
+        eng.register_stream("Bid", bid_stream)
+        assert [d.change for d in deltas] == eng.query(WINDOWED_MAX).run().changes
+        assert query.flow.output_size == len(deltas)
 
     def test_slow_consumer_is_evicted(self, bid_stream):
         svc = service_with_empty_source(
@@ -233,22 +258,29 @@ class TestDurability:
         half = len(events) // 2
         svc = service_with_empty_source(schema=bid_stream.schema, name="Bid")
         query = svc.submit("alice", WINDOWED_MAX)
+        before_crash = collector(svc, query)
         for event in events[:half]:
             svc.ingest(event, "Bid")
         svc.checkpoint(str(tmp_path))
+        first_seq, first_half = drain(before_crash)
 
         resumed = StandingQueryService()
         assert resumed.resume(str(tmp_path)) == 1
         restored = resumed.session.get(query.query_id)
         assert restored.tenant == "alice"
         assert resumed.session.source_offsets == {"bid": half}
+        sink = collector(resumed, restored)
         for event in events[half:]:
             resumed.ingest(event, "Bid")
         eng = StreamEngine()
         eng.register_stream("Bid", bid_stream)
-        assert restored.flow.output_slice(0) == (
-            eng.query(WINDOWED_MAX).run().changes
-        )
+        expected = eng.query(WINDOWED_MAX).run().changes
+        # deltas before the crash plus deltas after the restore make up
+        # the one-shot changelog, gap-free
+        assert first_seq == 0
+        assert first_half == expected[: len(first_half)]
+        assert drain(sink) == (len(first_half), expected[len(first_half) :])
+        assert restored.flow.output_size == len(expected)
 
     def test_restore_preserves_delta_sequence(self, bid_stream, tmp_path):
         events = bid_stream.events()
@@ -340,3 +372,86 @@ class TestRegistry:
         svc = service_with_empty_source(schema=bid_stream.schema, name="Bid")
         with pytest.raises(ExecutionError):
             svc.ingest(ins(1, (1, 1, 1)), "Ghost")
+
+
+def keyed_events(n, start=1_000_000):
+    """Keyed rows with a watermark every fifth event."""
+    events, ptime, wm_value = [], start, 0
+    for i in range(n):
+        ptime += 15_000
+        if i % 5 == 4:
+            wm_value += 2 * MINUTE
+            events.append(wm(ptime, wm_value))
+        else:
+            events.append(ins(ptime, (i % 3, (i * 37_000) % (10 * MINUTE), i)))
+    return events
+
+
+def retained_output(query):
+    """Changes the query's flow still holds for its output channel."""
+    flow, output_id = query.flow, query.output_id
+    if query.sharded:
+        return len(flow._outputs[output_id].merged) + sum(
+            len(shard._outputs[output_id].changes) for shard in flow.shards
+        )
+    return len(flow._outputs[output_id].changes)
+
+
+class TestRetention:
+    """Published history is released: the flow keeps none of it, and
+    the broadcast log keeps only what the slowest live subscriber has
+    not read."""
+
+    @pytest.mark.parametrize("parallelism", [1, 2])
+    def test_retention_bounded_by_largest_lag(self, parallelism):
+        events = keyed_events(120)
+        svc = service_with_empty_source(
+            config=ExecutionConfig(parallelism=parallelism, backend="sync")
+        )
+        query = svc.submit("t", KEYED_WINDOW_SUM)
+        assert query.sharded == (parallelism > 1)
+        fast = svc.subscribe(query.query_id, "fast")
+        slow = svc.subscribe(query.query_id, "slow")
+        lags = []
+        for index, event in enumerate(events):
+            svc.ingest(event, "S")
+            fast.take()
+            if index % 7 == 6:
+                slow.take(limit=5)
+            lag = max(s.depth for s in query.subscriptions.subscribers())
+            lags.append(lag)
+            assert query.subscriptions.log_size <= lag
+            assert retained_output(query) == 0  # published means released
+        assert max(lags) > 0  # the slow subscriber really lagged
+        assert not slow.evicted
+        expected = oneshot_changes(events, KEYED_WINDOW_SUM, parallelism)
+        assert query.flow.output_size_of(query.output_id) == len(expected)
+        assert query.subscriptions.next_seq == len(expected)
+        # the laggard still reads its backlog, in order, from the log
+        backlog = slow.take()
+        assert [d.change for d in backlog] == expected[len(expected) - len(backlog) :]
+        assert query.subscriptions.log_size == 0
+
+    @pytest.mark.parametrize("parallelism", [1, 2])
+    def test_checkpoint_does_not_grow_with_published_history(
+        self, parallelism, tmp_path
+    ):
+        """A stateless passthrough over rows only: nothing but the
+        published changelog could make the blob grow."""
+        svc = service_with_empty_source(
+            config=ExecutionConfig(parallelism=parallelism, backend="sync")
+        )
+        query = svc.submit("t", "SELECT k, ts, v FROM S EMIT STREAM")
+        assert query.sharded == (parallelism > 1)
+        subscriber = svc.subscribe(query.query_id, "s")
+        blob = tmp_path / f"{query.query_id}.ckpt"
+        sizes = []
+        for i in range(600):
+            svc.ingest(ins(1_000 + 10 * i, (i % 3, 1_000 * i, i)), "S")
+            subscriber.take()
+            if i % 200 == 199:
+                svc.checkpoint(str(tmp_path))
+                sizes.append(blob.stat().st_size)
+        assert query.subscriptions.next_seq == 600
+        # 400 more published changes, not one of them in the blob
+        assert sizes[-1] - sizes[0] < 64, sizes

@@ -343,11 +343,15 @@ class TestMQO:
                 for i in range(2)
             ]
             queries = [svc.submit("tenant", sql) for sql in sqls]
+            # The service keeps no published history; collect it as
+            # delivered.
+            collectors = [
+                svc.subscribe(q.query_id, "collector", capacity=1 << 30)
+                for q in queries
+            ]
             for event in keyed_events():
                 svc.ingest(event, "S")
-            return [
-                q.flow.output_slice_of(q.output_id, 0) for q in queries
-            ]
+            return [[d.change for d in c.take()] for c in collectors]
 
         shared = run(True)
         unshared = run(False)
